@@ -34,22 +34,41 @@ class EdgeRunStats:
 class EdgeEnumState:
     """Per-iteration state: edge solution, inner/outer candidates, within-solution distances.
 
+    Done-exclusion marks come in two parts. root_blocked holds the root
+    edges already branched on; every state of one run shares that set by
+    reference. local_blocked holds the marks made below the root and is
+    copied by advance, so a copy costs the branching along the current path,
+    not m.
+
     dist covers all vertices of the current solution subgraph (sol_verts), not
     just those touching a candidate; a shortest path may run through vertices
     that no candidate is incident to.
     """
 
-    __slots__ = ("g", "k", "solution", "sol_verts", "inner_cand", "outer_cand", "blocked", "dist")
+    __slots__ = (
+        "g", "k", "solution", "sol_verts", "inner_cand", "outer_cand", "root_blocked", "local_blocked", "dist"
+    )
 
-    def __init__(self, g, k, solution, sol_verts, inner_cand, outer_cand, blocked, dist):
+    def __init__(self, g, k, solution, sol_verts, inner_cand, outer_cand, root_blocked, local_blocked, dist):
         self.g = g
         self.k = k
         self.solution = solution
         self.sol_verts = sol_verts
         self.inner_cand = inner_cand
         self.outer_cand = outer_cand
-        self.blocked = blocked
+        self.root_blocked = root_blocked
+        self.local_blocked = local_blocked
         self.dist = dist
+
+    @property
+    def blocked(self) -> set[int]:
+        """Done-excluded edges, as a fresh set (O(m); the engine itself never builds it).
+
+        The driver marks a root edge only after seeding its state, and that
+        edge is in every solution of the seeded subtree, so subtracting the
+        solution leaves exactly the marks the seed saw.
+        """
+        return (self.root_blocked - self.solution) | self.local_blocked
 
     @property
     def cand(self) -> set[int]:
@@ -83,7 +102,8 @@ def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumStat
 
     Every non-blocked edge sharing an endpoint is a candidate (two edges never
     close a cycle) and is outer, since a simple graph has no second edge on
-    the same endpoint pair.
+    the same endpoint pair. `blocked` is kept by reference as the shared
+    root part of the exclusion marks, so the caller may keep adding to it.
     """
     u, v = g.endpoints(eid)
     outer = set()
@@ -92,7 +112,7 @@ def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumStat
             if fid != eid and fid not in blocked:
                 outer.add(fid)
     dist = {u: {u: 0, v: 1}, v: {u: 1, v: 0}}
-    return EdgeEnumState(g, k, {eid}, {u, v}, set(), outer, set(blocked), dist)
+    return EdgeEnumState(g, k, {eid}, {u, v}, set(), outer, blocked, set(), dist)
 
 
 def select_edge(state: EdgeEnumState) -> int:
@@ -191,8 +211,10 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
     inner = set(state.inner_cand)
     outer = set(state.outer_cand)
     outer.discard(e)
+    root_blocked = state.root_blocked
+    local_blocked = state.local_blocked
     for w, fid in g.adj[v]:
-        if fid == e or fid in state.blocked:
+        if fid == e or fid in root_blocked or fid in local_blocked:
             continue
         if w in state.sol_verts:
             outer.discard(fid)
@@ -224,16 +246,20 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
         set(sol_verts),
         inner,
         outer,
-        set(state.blocked),
+        state.root_blocked,
+        set(state.local_blocked),
         dist,
     )
 
 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:
-    """Drop e from this iteration's remaining subtree (the done-set step)."""
+    """Drop e from this iteration's remaining subtree (the done-set step).
+
+    Every state sits below the root, so the mark goes to the local part.
+    """
     state.inner_cand.discard(e)
     state.outer_cand.discard(e)
-    state.blocked.add(e)
+    state.local_blocked.add(e)
 
 
 def enumerate_edges_fast(

@@ -89,10 +89,19 @@ def densest_girth_graphs(
             # edges not yet touching the solution (an outer step can still turn
             # those into candidates; edges that touched and dropped out are
             # dead for good, since girth only decreases along a branch).
+            # An edge touching no solution vertex is outside the solution, so
+            # both exclusion parts are read directly, without the union.
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
             sol_verts = state.sol_verts
+            root_blocked = state.root_blocked
+            local_blocked = state.local_blocked
             for eid, (u, v, _) in enumerate(g.edges):
-                if u not in sol_verts and v not in sol_verts and eid not in state.blocked:
+                if (
+                    u not in sol_verts
+                    and v not in sol_verts
+                    and eid not in root_blocked
+                    and eid not in local_blocked
+                ):
                     reachable += 1
             return reachable < best_size
 

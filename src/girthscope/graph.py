@@ -41,8 +41,9 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "weighted", "_neighbors", "_neighbor_sets", "_pair_ids")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), weighted: bool = False):
-        if n < 0:
-            raise ValidationError("vertex count must be non-negative")
+        # bool subclasses int, but True is neither a count, a vertex id nor a weight
+        if type(n) is bool or n < 0:
+            raise ValidationError(f"vertex count must be a non-negative int, not {n!r}")
         norm: list[tuple[int, int, int]] = []
         pair_ids: dict[tuple[int, int], int] = {}
         for item in edges:
@@ -51,6 +52,8 @@ class Graph:
                 w = 1
             else:
                 u, v, w = item
+            if type(u) is bool or type(v) is bool:
+                raise ValidationError(f"edge ({u!r}, {v!r}) has a bool endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
@@ -59,7 +62,7 @@ class Graph:
                 u, v = v, u
             if (u, v) in pair_ids:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
-            if not isinstance(w, int) or w < 1:
+            if not isinstance(w, int) or type(w) is bool or w < 1:
                 raise ValidationError(f"edge ({u}, {v}) has weight {w}; weights must be integers >= 1")
             if not weighted and w != 1:
                 raise ValidationError("non-unit weight on an unweighted graph")

@@ -47,28 +47,44 @@ class InducedRunStats:
 class InducedEnumState:
     """Per-iteration state: solution, candidate set, exclusion sets, both tables.
 
+    Done-exclusion marks come in two parts. root_done holds the marks made at
+    the empty-solution root; every state of one run shares that set by
+    reference. local_done holds the marks made below the root and is copied by
+    advance, so a copy costs the branching along the current path, not n.
+
     Tables are dicts of dicts holding finite entries only; get_dist/get_second
     report INFINITE for anything absent, which covers out-of-scope vertices.
     """
 
-    __slots__ = ("g", "k", "solution", "cand", "done_blocked", "girth_blocked", "dist", "second")
+    __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist", "second")
 
-    def __init__(self, g, k, solution, cand, done_blocked, girth_blocked, dist, second):
+    def __init__(self, g, k, solution, cand, root_done, local_done, girth_blocked, dist, second):
         self.g = g
         self.k = k
         self.solution = solution
         self.cand = cand
-        self.done_blocked = done_blocked
+        self.root_done = root_done
+        self.local_done = local_done
         self.girth_blocked = girth_blocked
         self.dist = dist
         self.second = second
+
+    @property
+    def done_blocked(self) -> set[int]:
+        """Done-excluded vertices, as a fresh set (O(n); the engine itself never builds it).
+
+        Depth-first order marks a root vertex only after its child state was
+        built, and that vertex is in every solution of the child's subtree,
+        so subtracting the solution leaves exactly the marks the child saw.
+        """
+        return (self.root_done - self.solution) | self.local_done
 
     def status(self, v: int) -> str:
         if v in self.solution:
             return IN_SOLUTION
         if v in self.cand:
             return CANDIDATE
-        if v in self.done_blocked:
+        if v in self.root_done or v in self.local_done:
             return DONE_EXCLUDED
         if v in self.girth_blocked:
             return GIRTH_EXCLUDED
@@ -100,30 +116,30 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
             row[nb] = 1
         dist[v] = row
     second: dict[int, dict[int, Length]] = {v: {} for v in range(g.n)}
-    return InducedEnumState(g, k, set(), set(range(g.n)), set(), set(), dist, second)
+    return InducedEnumState(g, k, set(), set(range(g.n)), set(), set(), set(), dist, second)
 
 
 def _split_old_candidates(state: InducedEnumState, v: int):
-    """Partition cand - {v} for the move to S + {v}: (survivors, girth_dropped, detached)."""
+    """Partition the old candidates attached to S + {v}: (survivors, girth_dropped).
+
+    Below the root every candidate is attached to S, so all of cand - {v} is
+    scanned. At the empty-solution root only v's neighbours are attached to
+    {v}; they are the other keys of dist[v], so the scan skips the rest of
+    the graph.
+    """
     survivors: set[int] = set()
     girth_dropped: set[int] = set()
-    detached: set[int] = set()
     k = state.k
     dist = state.dist
     second = state.second
-    for u in state.cand:
+    for u in state.cand if state.solution else dist[v]:
         if u == v:
             continue
-        duv = dist[u].get(v)
-        if duv is None:
-            # only possible while S is empty: u has no edge to v, so the
-            # one-vertex solution {v} cannot reach it yet
-            detached.add(u)
-        elif duv + second[u].get(v, INFINITE) >= k:
+        if dist[u][v] + second[u].get(v, INFINITE) >= k:
             survivors.add(u)
         else:
             girth_dropped.add(u)
-    return survivors, girth_dropped, detached
+    return survivors, girth_dropped
 
 
 def filter_old_candidates(state: InducedEnumState, v: int) -> set[int]:
@@ -143,12 +159,17 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
     """
     sol = state.solution
     cand = state.cand
-    done = state.done_blocked
+    root_done = state.root_done
+    local_done = state.local_done
     girth = state.girth_blocked
     return {
         w
         for w in state.g.neighbors(v)
-        if w not in sol and w not in cand and w not in done and w not in girth
+        if w not in sol
+        and w not in cand
+        and w not in root_done
+        and w not in local_done
+        and w not in girth
     }
 
 
@@ -271,14 +292,15 @@ def update_second(
 
 def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = None) -> InducedEnumState:
     """Child state for solution S + {v}; the parent is left untouched."""
-    survivors, girth_dropped, _ = _split_old_candidates(state, v)
+    survivors, girth_dropped = _split_old_candidates(state, v)
     newcand = survivors | adopt_new_candidates(state, v)
     child = InducedEnumState(
         state.g,
         state.k,
         state.solution | {v},
         newcand,
-        set(state.done_blocked),
+        state.root_done,
+        set(state.local_done),
         state.girth_blocked | girth_dropped,
         {},
         {},
@@ -289,15 +311,24 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
 
 
 def exclude_candidate(state: InducedEnumState, v: int) -> None:
-    """Drop v from this iteration's remaining subtree (the done-set step)."""
+    """Drop v from this iteration's remaining subtree (the done-set step).
+
+    The mark goes to the shared root part at the root and to the local part
+    below it. Only the table rows that hold v are touched: the keys of
+    dist[v], since dist is symmetric and a finite second[x][v] implies a
+    finite dist[x][v].
+    """
     state.cand.discard(v)
-    state.done_blocked.add(v)
-    state.dist.pop(v, None)
-    state.second.pop(v, None)
-    for row in state.dist.values():
-        row.pop(v, None)
-    for row in state.second.values():
-        row.pop(v, None)
+    (state.local_done if state.solution else state.root_done).add(v)
+    dist = state.dist
+    second = state.second
+    second.pop(v, None)
+    for x in dist.pop(v, ()):
+        if x != v:
+            dist[x].pop(v, None)
+            row = second.get(x)
+            if row is not None:
+                row.pop(v, None)
 
 
 def enumerate_induced_fast(
@@ -313,9 +344,11 @@ def enumerate_induced_fast(
     """Enumerate all connected induced subgraphs with girth >= k, each exactly once.
 
     Same solution set as the baseline engine in connected induced mode, but
-    candidate sets are maintained incrementally. Each recursion level owns an
-    independent state copy, so backtracking needs no undo. Returns the number
-    of solutions emitted.
+    candidate sets are maintained incrementally. Each recursion level owns its
+    candidate set, tables and local exclusion marks, so backtracking needs no
+    undo; the root's exclusion marks are shared by every state below it,
+    which is exact because a subtree is finished before the root marks its
+    next vertex. Returns the number of solutions emitted.
     """
     validate_threshold(k)
     if g.weighted:

@@ -93,6 +93,18 @@ def test_graph_rejects_out_of_range_and_nonunit_weights():
         Graph(3, [(0, 1, 2)])  # weighted flag not set
 
 
+@pytest.mark.parametrize("n, edges, weighted", [
+    (True, [], False),
+    (2, [(0, 1, True)], True),
+    (2, [(0, 1, True)], False),
+    (2, [(False, 1)], False),
+    (2, [(0, True)], False),
+])
+def test_graph_rejects_bools_as_ints(n, edges, weighted):
+    with pytest.raises(ValidationError):
+        Graph(n, edges, weighted=weighted)
+
+
 def test_empty_graph_is_legal():
     g = parse_edge_list("")
     assert g.n == 0 and g.m == 0
