@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .edges_fast import EdgeRunStats, enumerate_edges_fast
-from .enum_core import EnumConfig, brute_force_enumerate
+from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate
 from .errors import ValidationError
 from .graph import Graph, INFINITE, Length
 from .induced_fast import InducedRunStats, enumerate_induced_fast
@@ -70,9 +70,12 @@ def bench_compare(
 ) -> BenchReport:
     """Run the fast engine and the brute-force filter on identical input.
 
-    Counts are cross-checked (a mismatch marks the report FAILED: that is a
-    correctness alarm, not a measurement artifact). With a limit, both sides
-    stop after the same number of solutions.
+    The fast solutions are cross-checked, and any mismatch marks the report
+    FAILED: that is a correctness alarm, not a measurement artifact. They
+    must be distinct and as many as the brute-force ones. Without a limit
+    they must equal the brute-force set; with a limit both sides stop after
+    the same number of solutions, which need not be the same ones, so each
+    fast solution is re-checked from scratch instead.
     """
     if mode not in ("induced", "edge"):
         raise ValidationError("mode must be 'induced' or 'edge'")
@@ -80,10 +83,12 @@ def bench_compare(
 
     max_delay = 0.0
     last_emit = time.perf_counter()
+    fast_solutions: list[frozenset[int]] = []
 
     def delay_probe(solution, ordinal):
         nonlocal max_delay, last_emit
         now = time.perf_counter()
+        fast_solutions.append(solution)
         if now - last_emit > max_delay:
             max_delay = now - last_emit
         last_emit = now
@@ -102,6 +107,13 @@ def bench_compare(
     brute = brute_force_enumerate(g, cfg, max_exponent=max_exponent)
     brute_seconds = time.perf_counter() - t0
 
+    ok = fast_count == len(brute) == len(set(fast_solutions))
+    if limit is None:
+        ok = ok and set(fast_solutions) == set(brute)
+    else:
+        full = EnumConfig(k=k, mode=mode)
+        ok = ok and all(_solution_ok(g, set(s), full) for s in fast_solutions)
+
     return BenchReport(
         graph_desc=desc,
         k=k,
@@ -114,5 +126,5 @@ def bench_compare(
         brute_count=len(brute),
         brute_seconds=brute_seconds,
         speedup=brute_seconds / fast_seconds if fast_seconds > 0 else float("inf"),
-        ok=fast_count == len(brute),
+        ok=ok,
     )

@@ -4,7 +4,8 @@ Instead of re-testing girth from scratch, each iteration keeps two tables for
 the current solution S:
 
   dist[x][y]    shortest-path length between x and y in the induced graph on
-                S + {x, y} ("pair graph"), kept for x, y in S | cand;
+                S + {x, y} ("pair graph"), kept for x, y in S | cand with at
+                least one of them in cand (solution pairs are never read);
   second[u][w]  length of the best u-w path in the pair graph once the first
                 edge of a shortest path is removed, kept for u, w in cand.
 
@@ -54,6 +55,9 @@ class InducedEnumState:
 
     Tables are dicts of dicts holding finite entries only; get_dist/get_second
     report INFINITE for anything absent, which covers out-of-scope vertices.
+    dist holds the pairs with a candidate end: a solution vertex's row has
+    candidate columns only, a candidate's row has solution and candidate
+    columns, so a step rebuilds O((|S| + |cand|) * |cand|) entries.
     """
 
     __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist", "second")
@@ -174,50 +178,61 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
 
 
 def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int, dict[int, Length]]:
-    """Distance table for S + {v}: relax old pairs through v, then add adopted rows.
+    """Distance table for S + {v}, over the pairs with at least one end in newcand.
 
-    Old pairs use min(dist[x][y], dist[x][v] + dist[v][y]); a vertex adopted
-    through v sits at dist[·][v] + 1 from everything already reached, or at 1
-    from a direct neighbor.
+    A surviving candidate u keeps min(dist[u][y], dist[u][v] + dist[v][y]) for
+    every y in S + {v} and every other survivor; each such pair had a
+    candidate end before, so both terms are stored. A vertex w adopted
+    through v touches S + {v} only at v, so it sits at dist[v][x] + 1 from
+    every x in S (the old entry is already the distance in S + {v}), and at
+    1 or dist[v][y] + 1 from another candidate y. Solution rows get the same
+    values through symmetry. Costs O((|S| + |newcand|) * |newcand|).
+
+    Every pair in scope is finite: below the root S is connected and every
+    candidate attaches to it. At the root only dist[u][y] between two
+    neighbours u, y of v can be absent, and then the path through v is taken.
     """
     old = state.dist
-    adopted = [w for w in newcand if w not in old]
-    kept = sorted((state.solution | {v} | newcand) - set(adopted))
     dv = old[v]
-    new: dict[int, dict[int, Length]] = {}
-    for x in kept:
-        rowx = old[x]
-        dxv = rowx.get(v)
-        nrow: dict[int, Length] = {}
-        if dxv is None:
-            for y in kept:
-                d = rowx.get(y)
-                if d is not None:
-                    nrow[y] = d
-        else:
-            for y in kept:
-                d = rowx.get(y, INFINITE)
-                dvy = dv.get(y)
-                if dvy is not None and dxv + dvy < d:
-                    d = dxv + dvy
-                if d != INFINITE:
-                    nrow[y] = d
-        new[x] = nrow
-    nv = new[v]
-    for w in sorted(adopted):
+    sol = state.solution
+    survivors = [u for u in newcand if u in old]
+    adopted = [w for w in newcand if w not in old]
+    new: dict[int, dict[int, Length]] = {x: {} for x in sol}
+    nv: dict[int, Length] = {}
+    new[v] = nv
+    for u in survivors:
+        rowu = old[u]
+        duv = rowu[v]
+        nrow: dict[int, Length] = {v: duv}
+        nv[u] = duv
+        for x in sol:
+            d = rowu[x]
+            if duv + dv[x] < d:
+                d = duv + dv[x]
+            nrow[x] = d
+            new[x][u] = d
+        for y in survivors:
+            d = rowu.get(y, INFINITE)
+            if duv + dv[y] < d:
+                d = duv + dv[y]
+            nrow[y] = d
+        new[u] = nrow
+    for i, w in enumerate(adopted):
         adj_w = state.g.neighbor_set(w)
-        roww: dict[int, Length] = {w: 0}
-        for x in kept:
-            d = nv[x] + 1
-            if x in adj_w:
-                d = 1
+        roww: dict[int, Length] = {w: 0, v: 1}
+        nv[w] = 1
+        for x in sol:
+            d = dv[x] + 1
             roww[x] = d
             new[x][w] = d
-        for w2 in adopted:
-            if w2 in new:  # processed earlier
-                d = 1 if w2 in adj_w else nv[w2] + 1
-                roww[w2] = d
-                new[w2][w] = d
+        for u in survivors:
+            d = 1 if u in adj_w else nv[u] + 1
+            roww[u] = d
+            new[u][w] = d
+        for w2 in adopted[:i]:
+            d = 1 if w2 in adj_w else 2  # otherwise they meet at v
+            roww[w2] = d
+            new[w2][w] = d
         new[w] = roww
     return new
 

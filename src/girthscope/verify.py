@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 from .enum_core import Collector, EnumConfig, brute_force_enumerate, enumerate_baseline
 from .edges_fast import enumerate_edges_fast
-from .graph import Graph, INFINITE, Length
+from .graph import Graph, INFINITE, Length, is_connected
 from .induced_fast import enumerate_induced_fast
 
 
@@ -31,7 +31,7 @@ def all_connected_graphs(max_n: int) -> list[Graph]:
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             g = Graph(n, edges)
-            if not _connected(g):
+            if not is_connected(g):
                 continue
             canon = min(
                 tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
@@ -42,20 +42,6 @@ def all_connected_graphs(max_n: int) -> list[Graph]:
             seen.add(canon)
             out.append(g)
     return out
-
-
-def _connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False) -> Graph:

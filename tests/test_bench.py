@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import girthscope.bench as bench_module
 from girthscope import INFINITE, ValidationError, bench_compare, complete_graph, path_graph
 
 
@@ -32,3 +33,24 @@ def test_limit_truncates_both_sides_identically():
 def test_mode_validation():
     with pytest.raises(ValidationError):
         bench_compare(path_graph(3), 4, mode="both")
+
+
+def test_duplicated_solution_fails_even_when_counts_agree(monkeypatch):
+    # the engine repeats one solution in place of another, so counts still
+    # match (and a limit caps both sides at the same number anyway)
+    real = bench_module.enumerate_edges_fast
+
+    def duplicating(g, k, sink, **kwargs):
+        emitted = []
+
+        def relay(solution, ordinal):
+            emitted.append(solution)
+            return sink(emitted[1] if ordinal == 2 else solution, ordinal)
+
+        return real(g, k, relay, **kwargs)
+
+    monkeypatch.setattr(bench_module, "enumerate_edges_fast", duplicating)
+    for limit in (None, 50):
+        report = bench_compare(complete_graph(5), 4, mode="edge", limit=limit)
+        assert report.fast_count == report.brute_count
+        assert "status=FAILED" in report.to_kv_lines()

@@ -252,3 +252,26 @@ def test_rejects_weighted_graphs():
         enumerate_induced_fast(g, 4)
     with pytest.raises(ValidationError):
         enumerate_induced_fast(path_graph(2), 2)
+
+
+def test_dist_table_keeps_only_pairs_with_a_candidate_end():
+    # solution x solution entries are never read, so they are not stored: a
+    # solution row holds candidate columns only, and the table is bounded by
+    # 2|S||cand| (both orientations of solution-candidate pairs) + |cand|^2
+    rng = random.Random(12)
+    n = 12
+    rand12 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    for g in (petersen_graph(), rand12):
+        seen = 0
+
+        def check(st):
+            nonlocal seen
+            seen += 1
+            for x in st.solution:
+                assert not set(st.dist.get(x, ())) & st.solution, f"row {x} at S={sorted(st.solution)}"
+            entries = sum(len(row) for row in st.dist.values())
+            s, c = len(st.solution), len(st.cand)
+            assert entries <= 2 * s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
+
+        count = enumerate_induced_fast(g, 5, on_state=check)
+        assert seen == count  # one state per emitted solution (the root emits the empty one)
