@@ -20,7 +20,6 @@ from .errors import BudgetExceededError, GirthscopeError, ParseError, Validation
 from .extremal import (
     ExtremalResult,
     densest_girth_graphs,
-    enumerate_variant,
     format_extremal_report,
     reduce_up_to_isomorphism,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "enumerate_baseline",
     "enumerate_edges_fast",
     "enumerate_induced_fast",
-    "enumerate_variant",
     "format_extremal_report",
     "girth_of_adjacency",
     "girth_unweighted",

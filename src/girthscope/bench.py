@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .edges_fast import EdgeRunStats, enumerate_edges_fast
 from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate
-from .errors import ValidationError
 from .graph import Graph, INFINITE, Length
 from .induced_fast import InducedRunStats, enumerate_induced_fast
 
@@ -77,8 +76,8 @@ def bench_compare(
     the same number of solutions, which need not be the same ones, so each
     fast solution is re-checked from scratch instead.
     """
-    if mode not in ("induced", "edge"):
-        raise ValidationError("mode must be 'induced' or 'edge'")
+    cfg = EnumConfig(k=k, mode=mode, limit=limit)
+    cfg.validate(g)
     desc = graph_desc or repr(g)
 
     max_delay = 0.0
@@ -102,7 +101,6 @@ def bench_compare(
         fast_count = enumerate_induced_fast(g, k, delay_probe, limit=limit, stats=stats)
     fast_seconds = time.perf_counter() - t0
 
-    cfg = EnumConfig(k=k, mode=mode, limit=limit)
     t0 = time.perf_counter()
     brute = brute_force_enumerate(g, cfg, max_exponent=max_exponent)
     brute_seconds = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from .induced_fast import enumerate_induced_fast
 from .verify import run_verification
 
 EXIT_OK = 0
-EXIT_DISCREPANCY = 1  # verify found a mismatch / bench counts disagree
+EXIT_DISCREPANCY = 1  # verify or bench found solutions that differ
 EXIT_USAGE = 2  # bad flags or flag combination
 EXIT_PARSE = 3  # unreadable or malformed graph input
 EXIT_VALIDATION = 4  # well-formed input violating a contract
@@ -104,7 +104,6 @@ def _run_enumeration(args, g: Graph, sink) -> int:
     )
     if args.algorithm == "baseline":
         return enumerate_baseline(g, cfg, sink)
-    cfg.validate(g)
     runner = enumerate_induced_fast if args.mode == "induced" else enumerate_edges_fast
     return runner(g, args.k, sink, include_empty=not args.no_empty, limit=args.limit)
 
@@ -119,7 +118,10 @@ def _cmd_girth(args) -> int:
 def _cmd_enum(args) -> int:
     _check_algorithm(args)
     g = _load_graph(args)
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     try:
         def sink(solution, ordinal):
             out.write(_solution_line(solution, g, args.mode, args.endpoints) + "\n")
@@ -161,7 +163,7 @@ def _cmd_bench(args) -> int:
     for line in report.to_kv_lines():
         print(line)
     if not report.ok:
-        print("solution counts disagree between engines", file=sys.stderr)
+        print("fast solutions differ from brute force", file=sys.stderr)
         return EXIT_DISCREPANCY
     return EXIT_OK
 

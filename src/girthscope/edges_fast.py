@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .enum_core import SolutionSink, _Emitter, validate_threshold
-from .errors import ValidationError
+from .enum_core import SolutionSink, search, validate_fast_input
 from .graph import Graph, INFINITE, Length
 
 
@@ -95,6 +94,11 @@ class EdgeEnumState:
         if row is None:
             return INFINITE
         return row.get(y, INFINITE)
+
+
+def initial_state(g: Graph, k: Length) -> EdgeEnumState:
+    """State for the empty solution: no vertices, every edge an outer candidate."""
+    return EdgeEnumState(g, k, set(), set(), set(), set(range(g.m)), set(), set(), {})
 
 
 def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumState:
@@ -226,7 +230,12 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
 
 
 def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
-    """Child state for solution S + {e}; the parent is left untouched."""
+    """Child state for solution S + {e}; the parent is left untouched.
+
+    From the empty root the child is seed_state's single-edge state.
+    """
+    if not state.solution:
+        return seed_state(state.g, state.k, e, state.root_blocked)
     g = state.g
     u, v = g.endpoints(e)
     is_inner = u in state.sol_verts and v in state.sol_verts
@@ -255,11 +264,17 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:
     """Drop e from this iteration's remaining subtree (the done-set step).
 
-    Every state sits below the root, so the mark goes to the local part.
+    The mark goes to the shared root part at the root and to the local part
+    below it.
     """
     state.inner_cand.discard(e)
     state.outer_cand.discard(e)
-    state.local_blocked.add(e)
+    (state.local_blocked if state.solution else state.root_blocked).add(e)
+
+
+def branch_order(state: EdgeEnumState) -> list[int]:
+    """Edges to branch on: inner candidates, then outer ones, each in ascending id."""
+    return sorted(state.inner_cand) + sorted(state.outer_cand)
 
 
 def enumerate_edges_fast(
@@ -281,47 +296,16 @@ def enumerate_edges_fast(
     its root solution was emitted (used by the extremal search). Returns the
     number of solutions emitted.
     """
-    validate_threshold(k)
-    if g.weighted:
-        raise ValidationError("fast enumeration is unweighted; use the baseline engine")
-    emitter = _Emitter(sink, limit)
-    if stats is not None:
-        stats.iterations += 1
-        stats.max_depth = max(stats.max_depth, 1)
-    if include_empty and not emitter.emit(frozenset()):
-        return emitter.count
-    root_blocked: set[int] = set()
-    stack: list[list] = []
-    next_root = 0
-    while True:
-        if stack:
-            frame = stack[-1]
-            state, order, i = frame
-            if i == len(order):
-                stack.pop()
-                continue
-            frame[2] += 1
-            e = order[i]
-            child = advance(state, e, stats)
-            exclude_candidate(state, e)
-            depth = len(stack) + 2
-        elif next_root < g.m:
-            e = next_root
-            next_root += 1
-            child = seed_state(g, k, e, root_blocked)
-            root_blocked.add(e)
-            depth = 2
-        else:
-            break
-        if stats is not None:
-            stats.iterations += 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-        if on_state is not None:
-            on_state(child)
-        if not emitter.emit(frozenset(child.solution)):
-            break
-        if prune is not None and prune(child):
-            continue
-        stack.append([child, sorted(child.inner_cand) + sorted(child.outer_cand), 0])
-    return emitter.count
+    validate_fast_input(g, k)
+    return search(
+        initial_state(g, k),
+        branch_order,
+        advance,
+        exclude_candidate,
+        sink,
+        include_empty=include_empty,
+        limit=limit,
+        prune=prune,
+        on_state=on_state,
+        stats=stats,
+    )

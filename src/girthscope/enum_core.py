@@ -1,18 +1,20 @@
-"""Binary-partition baseline enumerator and the exhaustive brute-force reference.
+"""Depth-first search shared by the engines, the baseline enumerator, the brute-force reference.
 
-Both engines emit every qualifying subgraph exactly once: each iteration
-outputs its solution, then branches on every candidate element in ascending
-id order, excluding already-branched elements from the remaining subtree.
+Every engine emits each qualifying subgraph exactly once: each iteration
+outputs its solution, then branches on its candidate elements in order,
+excluding already-branched elements from the remaining subtree. `search`
+runs that loop; the engines differ only in how a child state is built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import BudgetExceededError, ValidationError
 from .girth import girth_of_adjacency, girth_weighted
-from .graph import EdgeSet, Graph, INFINITE, Length, VertexSet, edge_subgraph, induced_subgraph
+from .graph import Graph, INFINITE, Length, adjacency_connected, edge_subgraph, induced_subgraph
 
 #: Streaming consumer: called as sink(solution, ordinal) with ordinals counting
 #: up from 0; returning False stops the run cleanly with a partial count.
@@ -24,7 +26,12 @@ CONNECTIVITIES = ("connected", "any")
 
 @dataclass
 class EnumConfig:
-    """What to enumerate: girth threshold, element kind, and problem variant."""
+    """What to enumerate: girth threshold, element kind, and problem variant.
+
+    weighted=True tests the weighted girth (cycle weight = sum of edge
+    weights); connectivity="any" drops the connectivity requirement, leaving
+    girth as the only condition.
+    """
 
     k: Length
     mode: str = "induced"
@@ -39,8 +46,6 @@ class EnumConfig:
         if self.connectivity not in CONNECTIVITIES:
             raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
         validate_threshold(self.k)
-        if self.limit is not None and self.limit < 0:
-            raise ValidationError("limit must be >= 0")
         if self.weighted and not g.weighted:
             raise ValidationError("weighted enumeration requires a weighted graph")
 
@@ -50,12 +55,20 @@ def validate_threshold(k: Length) -> None:
         raise ValidationError("girth threshold must be an integer >= 3, or INFINITE")
 
 
+def validate_fast_input(g: Graph, k: Length) -> None:
+    """Reject what the fast engines cannot run: a bad threshold or a weighted graph."""
+    validate_threshold(k)
+    if g.weighted:
+        raise ValidationError("fast enumeration is unweighted; use the baseline engine")
+
+
 @dataclass
 class BaselineState:
-    """One iteration of the baseline engine: current solution plus the done-set mask."""
+    """One iteration of the baseline engine: solution, done-set mask, sorted candidates."""
 
     solution: set[int]
     excluded: set[int]
+    cands: list[int] = field(default_factory=list)
 
 
 class Collector:
@@ -72,6 +85,8 @@ class _Emitter:
     __slots__ = ("sink", "limit", "count", "stopped")
 
     def __init__(self, sink: SolutionSink | None, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValidationError("limit must be >= 0")
         self.sink = sink
         self.limit = limit
         self.count = 0
@@ -92,59 +107,19 @@ class _Emitter:
 
 # --- from-scratch feasibility checks ---------------------------------------
 
-def _vertices_connected(g: Graph, members: VertexSet) -> bool:
-    if len(members) <= 1:
-        return True
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y in members and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(members)
+def _local_adjacency(g: Graph, members: set[int], mode: str) -> list[list[int]]:
+    """Adjacency lists of the solution subgraph over a local index 0..r-1.
 
-
-def _edges_connected(g: Graph, eids: EdgeSet) -> bool:
-    if not eids:
-        return True
-    verts: set[int] = set()
-    adj: dict[int, list[int]] = {}
-    for eid in eids:
-        u, v = g.endpoints(eid)
-        verts.add(u)
-        verts.add(v)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
-
-
-def _induced_girth_ok(g: Graph, members: set[int], cfg: EnumConfig) -> bool:
-    if cfg.weighted:
-        return girth_weighted(induced_subgraph(g, members)) >= cfg.k
-    order = sorted(members)
-    index = {v: i for i, v in enumerate(order)}
-    adj = [[index[y] for y in g.neighbors(v) if y in members] for v in order]
-    return girth_of_adjacency(adj) >= cfg.k
-
-
-def _edge_girth_ok(g: Graph, eids: set[int], cfg: EnumConfig) -> bool:
-    if cfg.weighted:
-        return girth_weighted(edge_subgraph(g, eids)) >= cfg.k
-    index: dict[int, int] = {}
+    Induced mode indexes the member vertices in ascending id; edge mode
+    indexes the endpoints of the member edges in order of first appearance.
+    """
+    if mode == "induced":
+        order = sorted(members)
+        index = {v: i for i, v in enumerate(order)}
+        return [[index[y] for y in g.neighbors(v) if y in members] for v in order]
+    index = {}
     adj: list[list[int]] = []
-    for eid in eids:
+    for eid in members:
         u, v = g.endpoints(eid)
         for x in (u, v):
             if x not in index:
@@ -152,17 +127,17 @@ def _edge_girth_ok(g: Graph, eids: set[int], cfg: EnumConfig) -> bool:
                 adj.append([])
         adj[index[u]].append(index[v])
         adj[index[v]].append(index[u])
-    return girth_of_adjacency(adj) >= cfg.k
+    return adj
 
 
 def _solution_ok(g: Graph, members: set[int], cfg: EnumConfig) -> bool:
-    if cfg.mode == "induced":
-        if cfg.connectivity == "connected" and not _vertices_connected(g, members):
-            return False
-        return _induced_girth_ok(g, members, cfg)
-    if cfg.connectivity == "connected" and not _edges_connected(g, members):
+    adj = _local_adjacency(g, members, cfg.mode)
+    if cfg.connectivity == "connected" and not adjacency_connected(adj):
         return False
-    return _edge_girth_ok(g, members, cfg)
+    if cfg.weighted:
+        sub = induced_subgraph(g, members) if cfg.mode == "induced" else edge_subgraph(g, members)
+        return girth_weighted(sub) >= cfg.k
+    return girth_of_adjacency(adj) >= cfg.k
 
 
 def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[int]:
@@ -181,12 +156,75 @@ def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[
     return out
 
 
+def search(
+    root,
+    order: Callable[[object], list[int]],
+    advance: Callable[[object, int, object], object],
+    exclude: Callable[[object, int], object],
+    sink: SolutionSink | None,
+    *,
+    include_empty: bool = True,
+    limit: int | None = None,
+    prune: Callable[[object], bool] | None = None,
+    on_state: Callable[[object], object] | None = None,
+    stats=None,
+) -> int:
+    """Depth-first binary-partition search from the empty-solution state `root`.
+
+    The root is passed to `on_state`, and the empty solution is emitted first
+    when `include_empty` is set. Every state then branches on the elements
+    `order(state)` lists: the child for element x is `advance(state, x,
+    stats)`, built before `exclude(state, x)` drops x from the rest of the
+    state's subtree. Each child is passed to `on_state`, then its solution is
+    emitted; `prune(state)` returning True skips a state's subtree but keeps
+    its solution. `on_state` sees every state, the empty root included; in
+    the edge engine that root is a state of its own, with every edge an
+    outer candidate. `stats`, when given, gets `iterations` (states built,
+    the root included) and `max_depth` (the root has depth 1). Returns the
+    number of solutions emitted, partial if `limit` or the sink stopped the
+    run; a negative `limit` raises ValidationError.
+    """
+    emitter = _Emitter(sink, limit)
+    if stats is not None:
+        stats.iterations += 1
+        stats.max_depth = max(stats.max_depth, 1)
+    if on_state is not None:
+        on_state(root)
+    if include_empty and not emitter.emit(frozenset()):
+        return emitter.count
+    stack = []
+    if prune is None or not prune(root):
+        stack.append([root, order(root), 0])
+    while stack:
+        frame = stack[-1]
+        state, todo, i = frame
+        if i == len(todo):
+            stack.pop()
+            continue
+        frame[2] += 1
+        x = todo[i]
+        child = advance(state, x, stats)
+        exclude(state, x)
+        if stats is not None:
+            stats.iterations += 1
+            depth = len(stack) + 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+        if on_state is not None:
+            on_state(child)
+        if not emitter.emit(frozenset(child.solution)):
+            break
+        if prune is None or not prune(child):
+            stack.append([child, order(child), 0])
+    return emitter.count
+
+
 def enumerate_baseline(
     g: Graph,
     cfg: EnumConfig,
     sink: SolutionSink | None = None,
     *,
-    prune: Callable[[set[int], list[int]], bool] | None = None,
+    prune: Callable[[BaselineState], bool] | None = None,
 ) -> int:
     """Enumerate every solution exactly once with from-scratch candidate checks.
 
@@ -195,33 +233,32 @@ def enumerate_baseline(
     duplicates. The empty solution is emitted first when configured. Returns
     the number of solutions emitted (partial if the sink stopped the run).
 
-    `prune` is consulted with (solution, candidates) before a subtree is
-    expanded; returning True skips the subtree but keeps its root solution.
+    `prune` is consulted with a state (its solution and sorted candidates)
+    before its subtree is expanded; returning True skips the subtree but keeps
+    its root solution.
     """
     cfg.validate(g)
-    emitter = _Emitter(sink, cfg.limit)
-    root = BaselineState(set(), set())
-    if cfg.include_empty and not emitter.emit(frozenset()):
-        return emitter.count
-    root_cands = sorted(candidate_set_naive(g, root, cfg))
-    stack = []
-    if prune is None or not prune(root.solution, root_cands):
-        stack.append([root, root_cands, 0])
-    while stack:
-        frame = stack[-1]
-        state, order, i = frame
-        if i == len(order):
-            stack.pop()
-            continue
-        frame[2] += 1
-        x = order[i]
-        child = BaselineState(state.solution | {x}, state.excluded | set(order[:i]))
-        if not emitter.emit(frozenset(child.solution)):
-            break
-        child_cands = sorted(candidate_set_naive(g, child, cfg))
-        if prune is None or not prune(child.solution, child_cands):
-            stack.append([child, child_cands, 0])
-    return emitter.count
+
+    def with_cands(state: BaselineState) -> BaselineState:
+        state.cands = sorted(candidate_set_naive(g, state, cfg))
+        return state
+
+    def advance(state: BaselineState, x: int, stats) -> BaselineState:
+        return with_cands(BaselineState(state.solution | {x}, set(state.excluded)))
+
+    def exclude(state: BaselineState, x: int) -> None:
+        state.excluded.add(x)
+
+    return search(
+        with_cands(BaselineState(set(), set())),
+        attrgetter("cands"),
+        advance,
+        exclude,
+        sink,
+        include_empty=cfg.include_empty,
+        limit=cfg.limit,
+        prune=prune,
+    )
 
 
 def brute_force_enumerate(
@@ -237,20 +274,18 @@ def brute_force_enumerate(
     sorted list.
     """
     cfg.validate(g)
+    out: list[frozenset[int]] = []
+    emitter = _Emitter(lambda solution, ordinal: out.append(solution), cfg.limit)
     total = g.n if cfg.mode == "induced" else g.m
     if total > max_exponent:
         raise BudgetExceededError(
             f"brute force over 2**{total} subsets exceeds the 2**{max_exponent} budget"
         )
-    out: list[frozenset[int]] = []
-    limit = cfg.limit
     for mask in range(1 << total):
         members = {i for i in range(total) if mask >> i & 1}
         if not members and not cfg.include_empty:
             continue
-        if _solution_ok(g, members, cfg):
-            out.append(frozenset(members))
-            if limit is not None and len(out) >= limit:
-                break
+        if _solution_ok(g, members, cfg) and not emitter.emit(frozenset(members)):
+            break
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out

@@ -1,9 +1,9 @@
-"""Problem variants on the baseline engine, and densest girth-k graph search.
+"""Densest girth-k graph search.
 
-The weighted and non-connected variants only change the candidate test, so
-they run on the baseline binary-partition engine. The extremal search runs
-the fast edge enumerator over a complete graph, pruning subtrees that cannot
-reach the best edge count seen so far.
+The search runs the fast edge enumerator over a complete graph, pruning
+subtrees that cannot reach the best edge count seen so far; with
+connected_only=False it runs the baseline engine in the non-connected
+variant instead.
 """
 
 from __future__ import annotations
@@ -12,21 +12,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .edges_fast import EdgeEnumState, enumerate_edges_fast
-from .enum_core import EnumConfig, SolutionSink, enumerate_baseline, validate_threshold
+from .enum_core import BaselineState, EnumConfig, enumerate_baseline, validate_threshold
 from .errors import ValidationError
 from .graph import Graph, INFINITE, Length, complete_graph
-
-
-def enumerate_variant(g: Graph, cfg: EnumConfig, sink: SolutionSink | None = None) -> int:
-    """Enumerate under the weighted and/or non-connected problem variants.
-
-    Weighted graphs use the weighted girth (cycle weight = sum of edge
-    weights) in the candidate test; connectivity="any" drops the
-    connectivity requirement, leaving girth as the only condition (the girth
-    of a disconnected graph is the minimum over its components, which the
-    whole-graph girth computation already reports).
-    """
-    return enumerate_baseline(g, cfg, sink)
 
 
 @dataclass
@@ -55,8 +43,8 @@ def densest_girth_graphs(
     Enumerates subgraphs of the complete graph on n vertices, skipping any
     subtree whose solution plus remaining candidates cannot beat the current
     maximum (ties are still explored, so every witness is found). `limit`
-    caps the number of solutions explored; hitting it flags the result
-    incomplete. Witnesses are distinct labelings unless reduce_isomorphic.
+    caps the number of solutions explored, as the engines' limit does; hitting
+    it flags the result incomplete. Witnesses are distinct labelings unless reduce_isomorphic.
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
@@ -66,22 +54,15 @@ def densest_girth_graphs(
     g = complete_graph(n)
     best_size = -1
     witnesses: list[frozenset[int]] = []
-    explored = 0
-    hit_limit = False
 
     def sink(solution: frozenset[int], ordinal: int):
-        nonlocal best_size, witnesses, explored, hit_limit
-        explored += 1
+        nonlocal best_size, witnesses
         size = len(solution)
         if size > best_size:
             best_size = size
             witnesses = [solution]
         elif size == best_size:
             witnesses.append(solution)
-        if limit is not None and explored >= limit:
-            hit_limit = True
-            return False
-        return True
 
     if connected_only:
         def prune(state: EdgeEnumState) -> bool:
@@ -105,14 +86,14 @@ def densest_girth_graphs(
                     reachable += 1
             return reachable < best_size
 
-        enumerate_edges_fast(g, k, sink, prune=prune)
+        explored = enumerate_edges_fast(g, k, sink, limit=limit, prune=prune)
     else:
-        cfg = EnumConfig(k=k, mode="edge", connectivity="any")
+        cfg = EnumConfig(k=k, mode="edge", connectivity="any", limit=limit)
 
-        def prune_any(solution: set[int], candidates: list[int]) -> bool:
-            return len(solution) + len(candidates) < best_size
+        def prune_any(state: BaselineState) -> bool:
+            return len(state.solution) + len(state.cands) < best_size
 
-        enumerate_baseline(g, cfg, sink, prune=prune_any)
+        explored = enumerate_baseline(g, cfg, sink, prune=prune_any)
 
     pair_witnesses = [tuple(g.endpoints(e) for e in sorted(w)) for w in witnesses]
     pair_witnesses.sort()
@@ -124,7 +105,7 @@ def densest_girth_graphs(
         max_edges=max(best_size, 0),
         witnesses=pair_witnesses,
         explored=explored,
-        complete=not hit_limit,
+        complete=limit is None or explored < limit,
         connected_only=connected_only,
     )
 

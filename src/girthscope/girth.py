@@ -95,15 +95,20 @@ def girth_weighted(g: Graph) -> Length:
     return best
 
 
-def _pair_levels(g: Graph, members: VertexSet, u: int, w: int, source: int) -> dict[int, int]:
-    """BFS levels from `source` inside the induced graph on members | {u, w}."""
+def _pair_levels(
+    g: Graph, members: VertexSet, u: int, w: int, source: int, skip: int | None = None
+) -> dict[int, int]:
+    """BFS levels from `source` inside the induced graph on members | {u, w}.
+
+    The edge from `source` to its neighbour `skip`, if given, is left out.
+    """
     levels = {source: 0}
     queue = deque([source])
     while queue:
         x = queue.popleft()
         lx = levels[x]
         for y in g.neighbors(x):
-            if y in levels:
+            if y in levels or (x == source and y == skip):
                 continue
             if y != u and y != w and y not in members:
                 continue
@@ -144,29 +149,7 @@ def second_distance(g: Graph, members: VertexSet, u: int, w: int) -> Length:
     d = from_w.get(u)
     if d is None:
         return INFINITE
-    first_hop = None
-    for y in g.neighbors(u):  # ascending id
-        if (y == w or y in members) and from_w.get(y, INFINITE) + 1 == d:
-            first_hop = y
-            break
-    assert first_hop is not None
-    # BFS from u skipping the single edge {u, first_hop}
-    levels = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        lx = levels[x]
-        for y in g.neighbors(x):
-            if x == u and y == first_hop:
-                continue
-            if y == u and x == first_hop:
-                continue
-            if y in levels:
-                continue
-            if y != u and y != w and y not in members:
-                continue
-            if y == w:
-                return lx + 1
-            levels[y] = lx + 1
-            queue.append(y)
-    return INFINITE
+    first_hop = next(  # ascending id
+        y for y in g.neighbors(u) if (y == w or y in members) and from_w.get(y, INFINITE) + 1 == d
+    )
+    return _pair_levels(g, members, u, w, u, skip=first_hop).get(w, INFINITE)

@@ -8,8 +8,7 @@ adjacency lists are kept sorted.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterable, Set as AbstractSet
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 
 from .errors import ParseError, ValidationError
 
@@ -124,6 +123,28 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
+def _graph_from_lines(n: int, numbered: list[tuple[int, str, tuple[int, int, int]]], weighted: bool) -> Graph:
+    """Graph(n, edges) from (line number, line text, edge) triples.
+
+    Graph.__init__ holds the edge rules (no self-loop, no duplicate, integer
+    weights >= 1); an edge it rejects is reported with its line.
+    """
+    where = None
+
+    def edges():
+        nonlocal where
+        for lineno, line, edge in numbered:
+            where = lineno, line
+            yield edge
+
+    try:
+        return Graph(n, edges(), weighted=weighted)
+    except ValidationError as exc:
+        if where is None:
+            raise
+        raise ValidationError(f"line {where[0]}: {exc} (in {where[1]!r})") from None
+
+
 def parse_edge_list(text: str, weighted: bool = False) -> Graph:
     """Parse "u v" / "u v w" lines into a Graph.
 
@@ -132,8 +153,7 @@ def parse_edge_list(text: str, weighted: bool = False) -> Graph:
     weights < 1 are rejected.
     """
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    numbered: list[tuple[int, str, tuple[int, int, int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,16 +173,8 @@ def parse_edge_list(text: str, weighted: bool = False) -> Graph:
                 raise ParseError(f"weight {parts[2]!r} is not an integer", lineno) from None
         else:
             w = 1
-        if u == v:
-            raise ValidationError(f"line {lineno}: self-loop on {parts[0]!r}")
-        if w < 1:
-            raise ValidationError(f"line {lineno}: weight {w} < 1")
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in seen:
-            raise ValidationError(f"line {lineno}: duplicate edge {parts[0]!r} {parts[1]!r}")
-        seen.add((a, b))
-        edges.append((a, b, w))
-    return Graph(len(ids), edges, weighted=weighted)
+        numbered.append((lineno, line, (u, v, w)))
+    return _graph_from_lines(len(ids), numbered, weighted)
 
 
 def parse_dimacs(text: str, weighted: bool = False) -> Graph:
@@ -172,8 +184,7 @@ def parse_dimacs(text: str, weighted: bool = False) -> Graph:
     """
     n = None
     declared_m = None
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    numbered: list[tuple[int, str, tuple[int, int, int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -200,22 +211,15 @@ def parse_dimacs(text: str, weighted: bool = False) -> Graph:
                 raise ParseError("non-integer edge fields", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"line {lineno}: vertex outside 1..{n}")
-            if u == v:
-                raise ValidationError(f"line {lineno}: self-loop on {u}")
-            if w < 1:
-                raise ValidationError(f"line {lineno}: weight {w} < 1")
-            a, b = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if (a, b) in seen:
-                raise ValidationError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add((a, b))
-            edges.append((a, b, w))
+            numbered.append((lineno, line, (u - 1, v - 1, w)))
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' problem line")
-    if declared_m != len(edges):
-        raise ValidationError(f"problem line declares {declared_m} edges, found {len(edges)}")
-    return Graph(n, edges, weighted=weighted)
+    g = _graph_from_lines(n, numbered, weighted)
+    if declared_m != g.m:
+        raise ValidationError(f"problem line declares {declared_m} edges, found {g.m}")
+    return g
 
 
 def to_edge_list(g: Graph) -> str:
@@ -254,19 +258,29 @@ def edge_subgraph(g: Graph, edge_ids: EdgeSet) -> Graph:
     return Graph(len(verts), sub, weighted=g.weighted)
 
 
+def adjacency_connected(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff the graph given as adjacency lists over 0..len(adj)-1 is connected.
+
+    Graphs with <= 1 vertex count as connected.
+    """
+    if len(adj) <= 1:
+        return True
+    seen = [False] * len(adj)
+    seen[0] = True
+    reached = 1
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                reached += 1
+                stack.append(y)
+    return reached == len(adj)
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex pair is joined by a path. Graphs with <= 1 vertex count as connected."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n
+    return adjacency_connected(g._neighbors)
 
 
 # --- standard test-bench graphs -------------------------------------------

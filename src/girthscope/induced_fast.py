@@ -11,10 +11,13 @@ the current solution S:
 
 A candidate u stays valid after adding v iff dist[u][v] + second[u][v] >= k:
 any cycle through both decomposes into two paths no shorter than those two
-values, and all other cycles were already certified. Tables are updated
-Floyd-Warshall style (dist) and by a constant-time case split with an
-O(|S|) fallback (second). Entries for vertices outside the table's scope are
-INFINITE by convention.
+values, and all other cycles were already certified. dist is updated
+Floyd-Warshall style. second is updated by a constant-time case split when
+the old dist + second sum is below k, and otherwise recomputed in O(|S|)
+from the first hops of u into the new solution. The recompute is the common
+case: every pair with a newly adopted end takes it, and on sparse random
+graphs (40 G(16, 24) graphs at k = 5) 95-97% of candidate pairs do.
+Entries for vertices outside the table's scope are INFINITE by convention.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .enum_core import SolutionSink, _Emitter, validate_threshold
-from .errors import ValidationError
+from .enum_core import SolutionSink, search, validate_fast_input
 from .graph import Graph, INFINITE, Length
 
 IN_SOLUTION = "in-solution"
@@ -346,6 +348,11 @@ def exclude_candidate(state: InducedEnumState, v: int) -> None:
                 row.pop(v, None)
 
 
+def branch_order(state: InducedEnumState) -> list[int]:
+    """Candidates to branch on, in ascending id."""
+    return sorted(state.cand)
+
+
 def enumerate_induced_fast(
     g: Graph,
     k: Length,
@@ -365,37 +372,15 @@ def enumerate_induced_fast(
     which is exact because a subtree is finished before the root marks its
     next vertex. Returns the number of solutions emitted.
     """
-    validate_threshold(k)
-    if g.weighted:
-        raise ValidationError("fast enumeration is unweighted; use the baseline engine")
-    emitter = _Emitter(sink, limit)
-    root = initial_state(g, k)
-    if stats is not None:
-        stats.iterations += 1
-        stats.max_depth = max(stats.max_depth, 1)
-    if on_state is not None:
-        on_state(root)
-    if include_empty and not emitter.emit(frozenset()):
-        return emitter.count
-    stack = [[root, sorted(root.cand), 0]]
-    while stack:
-        frame = stack[-1]
-        state, order, i = frame
-        if i == len(order):
-            stack.pop()
-            continue
-        frame[2] += 1
-        v = order[i]
-        child = advance(state, v, stats)
-        exclude_candidate(state, v)
-        if stats is not None:
-            stats.iterations += 1
-            depth = len(stack) + 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-        if on_state is not None:
-            on_state(child)
-        if not emitter.emit(frozenset(child.solution)):
-            break
-        stack.append([child, sorted(child.cand), 0])
-    return emitter.count
+    validate_fast_input(g, k)
+    return search(
+        initial_state(g, k),
+        branch_order,
+        advance,
+        exclude_candidate,
+        sink,
+        include_empty=include_empty,
+        limit=limit,
+        on_state=on_state,
+        stats=stats,
+    )

@@ -78,6 +78,14 @@ def test_enum_to_file_and_determinism(graph_file, tmp_path, capsys):
     assert len(out1.read_text().splitlines()) == 14
 
 
+def test_unwritable_output_is_a_usage_error(graph_file, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = run_cli(["enum", "--graph", graph_file(K3), "-k", "4", "--output", str(target)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
+
 def test_enum_baseline_any_connectivity(graph_file, capsys):
     src = graph_file("0 1\n1 2\n")
     code = run_cli(

@@ -262,3 +262,17 @@ def test_rejects_weighted_and_bad_k():
         enumerate_edges_fast(g, 4)
     with pytest.raises(ValidationError):
         enumerate_edges_fast(path_graph(2), 1)
+
+
+def test_on_state_sees_the_empty_root_first():
+    # the root is a state of its own: no vertices, every edge an outer candidate
+    g = petersen_graph()
+    seen = []
+
+    def look(state):
+        seen.append((sorted(state.solution), set(state.inner_cand), set(state.outer_cand)))
+
+    enumerate_edges_fast(g, 5, on_state=look, limit=30)
+    assert seen[0] == ([], set(), set(range(g.m)))
+    assert [solution for solution, _, _ in seen[1:4]] == [[0], [0, 1], [0, 1, 2]]
+    assert all(solution for solution, _, _ in seen[1:])

@@ -19,6 +19,8 @@ from girthscope import (
     complete_graph,
     cycle_graph,
     enumerate_baseline,
+    enumerate_edges_fast,
+    enumerate_induced_fast,
     path_graph,
 )
 from girthscope.enum_core import _solution_ok
@@ -197,6 +199,24 @@ def test_sink_stop_signal_gives_partial_count():
 def test_limit_truncates():
     assert enumerate_baseline(cycle_graph(4), EnumConfig(k=4, limit=6)) == 6
     assert enumerate_baseline(cycle_graph(4), EnumConfig(k=4, limit=0)) == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: enumerate_baseline(g, EnumConfig(k=4, limit=-1)),
+    lambda g: enumerate_induced_fast(g, 4, limit=-1),
+    lambda g: enumerate_edges_fast(g, 4, limit=-1),
+], ids=["baseline", "induced_fast", "edges_fast"])
+def test_every_engine_rejects_a_negative_limit(run):
+    with pytest.raises(ValidationError, match="limit must be >= 0"):
+        run(cycle_graph(5))
+
+
+def test_brute_force_limit_is_exact():
+    g = cycle_graph(4)
+    assert brute_force_enumerate(g, EnumConfig(k=4, limit=0)) == []
+    assert len(brute_force_enumerate(g, EnumConfig(k=4, limit=3))) == 3
+    with pytest.raises(ValidationError, match="limit must be >= 0"):
+        brute_force_enumerate(g, EnumConfig(k=4, limit=-1))
 
 
 def test_config_validation():

@@ -13,8 +13,8 @@ from girthscope import (
     brute_force_enumerate,
     complete_graph,
     densest_girth_graphs,
+    enumerate_baseline,
     enumerate_edges_fast,
-    enumerate_variant,
     format_extremal_report,
     girth_unweighted,
     path_graph,
@@ -28,14 +28,14 @@ def weighted_triangle(w1, w2, w3):
 
 
 def test_variant_examples():
-    assert enumerate_variant(weighted_triangle(1, 1, 1), EnumConfig(k=4, weighted=True)) == 7
-    assert enumerate_variant(weighted_triangle(2, 2, 2), EnumConfig(k=6, weighted=True)) == 8
-    assert enumerate_variant(path_graph(3), EnumConfig(k=3, connectivity="any")) == 8
+    assert enumerate_baseline(weighted_triangle(1, 1, 1), EnumConfig(k=4, weighted=True)) == 7
+    assert enumerate_baseline(weighted_triangle(2, 2, 2), EnumConfig(k=6, weighted=True)) == 8
+    assert enumerate_baseline(path_graph(3), EnumConfig(k=3, connectivity="any")) == 8
 
 
 def test_variant_rejects_weighted_flag_on_unweighted_graph():
     with pytest.raises(ValidationError):
-        enumerate_variant(path_graph(3), EnumConfig(k=3, weighted=True))
+        enumerate_baseline(path_graph(3), EnumConfig(k=3, weighted=True))
 
 
 def test_weighted_unit_weights_match_unweighted():
@@ -44,8 +44,8 @@ def test_weighted_unit_weights_match_unweighted():
         gw = Graph(g.n, [(u, v, 1) for u, v, _ in g.edges], weighted=True)
         for k in (3, 4, 5):
             plain, weighted = Collector(), Collector()
-            enumerate_variant(g, EnumConfig(k=k), plain)
-            enumerate_variant(gw, EnumConfig(k=k, weighted=True), weighted)
+            enumerate_baseline(g, EnumConfig(k=k), plain)
+            enumerate_baseline(gw, EnumConfig(k=k, weighted=True), weighted)
             assert plain.solutions == weighted.solutions
 
 
@@ -56,7 +56,7 @@ def test_weighted_brute_equivalence():
             for mode in ("induced", "edge"):
                 cfg = EnumConfig(k=k, mode=mode, weighted=True)
                 got = Collector()
-                enumerate_variant(g, cfg, got)
+                enumerate_baseline(g, cfg, got)
                 assert set(got.solutions) == set(brute_force_enumerate(g, cfg))
 
 
@@ -67,7 +67,7 @@ def test_non_connected_equals_brute_without_connectivity():
             for mode in ("induced", "edge"):
                 cfg = EnumConfig(k=k, mode=mode, connectivity="any")
                 got = Collector()
-                enumerate_variant(g, cfg, got)
+                enumerate_baseline(g, cfg, got)
                 assert set(got.solutions) == set(brute_force_enumerate(g, cfg))
 
 
@@ -143,6 +143,14 @@ def test_densest_budget_flags_incomplete():
     assert not result.complete
     assert result.explored == 50
     assert densest_girth_graphs(6, 4, limit=10**9).complete
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_densest_limit_is_the_engines_limit(connected_only):
+    with pytest.raises(ValidationError, match="limit must be >= 0"):
+        densest_girth_graphs(5, 4, limit=-1, connected_only=connected_only)
+    result = densest_girth_graphs(5, 4, limit=0, connected_only=connected_only)
+    assert result.explored == 0 and not result.complete
 
 
 def test_densest_trivial_sizes():

@@ -54,6 +54,23 @@ def test_girth_matches_brute_force_on_corpus():
         assert girth_unweighted(g) == brute_girth(g), g.edges
 
 
+def test_girth_matches_networkx():
+    # networkx is an independent oracle, used by the tests only
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    graphs = structured_corpus()
+    graphs += [random_graph(rng, rng.randint(1, 30), rng.choice([0.03, 0.08, 0.15, 0.4])) for _ in range(120)]
+    acyclic = 0
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.endpoints(e) for e in range(g.m))
+        expected = nx.girth(h)
+        acyclic += expected == INFINITE
+        assert girth_unweighted(g) == expected, g.edges
+    assert acyclic >= 10  # forests, whose girth is INFINITE, are covered too
+
+
 def test_weighted_girth_examples():
     tri = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
     assert girth_weighted(tri) == 6

@@ -64,6 +64,21 @@ def test_parse_error_reports_line_number():
         parse_edge_list("0 1\nnot an edge line at all")
 
 
+@pytest.mark.parametrize("parse, text, rule", [
+    (parse_edge_list, "a b\nb b", "self-loop"),
+    (parse_edge_list, "a b\nb a", "duplicate"),
+    (lambda t: parse_edge_list(t, weighted=True), "a b 1\nb c 0", "weight"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 3 3", "self-loop"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 1", "duplicate"),
+    (lambda t: parse_dimacs(t, weighted=True), "p edge 3 2\ne 1 2 1\ne 2 3 0", "weight"),
+])
+def test_parse_edge_rule_errors_name_their_line(parse, text, rule):
+    with pytest.raises(ValidationError, match=rule) as info:
+        parse(text)
+    # the rejected edge is always on the last line
+    assert str(info.value).startswith(f"line {len(text.splitlines())}:")
+
+
 def test_parse_comments_and_blank_lines():
     g = parse_edge_list("# a triangle\n\n0 1  # first\n1 2\n2 0\n")
     assert same_structure(g, complete_graph(3))
