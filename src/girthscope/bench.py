@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .edges_fast import EdgeRunStats, enumerate_edges_fast
-from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate
+from .enum_core import EnumConfig, _brute_force_total, _solution_ok, brute_force_enumerate
 from .graph import Graph, INFINITE, Length
 from .induced_fast import InducedRunStats, enumerate_induced_fast
 
@@ -78,6 +78,7 @@ def bench_compare(
     """
     cfg = EnumConfig(k=k, mode=mode, limit=limit)
     cfg.validate(g)
+    _brute_force_total(g, mode, max_exponent)  # refuse before the fast run stores every solution
     desc = graph_desc or repr(g)
 
     max_delay = 0.0

@@ -9,7 +9,7 @@ solution's vertex count, which is what bounds the per-solution work.
 The only table kept is dist[x][y]: shortest-path length between x and y using
 solution edges only. Adding an edge never needs a fresh girth computation:
 every cycle a candidate edge f could close passes through f, so its length
-follows from dist in O(1).
+follows from dist in O(1). An inner edge copies only the rows it shortens.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class EdgeEnumState:
 
     dist covers all vertices of the current solution subgraph (sol_verts), not
     just those touching a candidate; a shortest path may run through vertices
-    that no candidate is incident to.
+    that no candidate is incident to. Rows are never changed once built, so a
+    child shares the rows an inner step leaves unchanged with its parent.
     """
 
     __slots__ = (
@@ -154,11 +155,14 @@ def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
 
 
 def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
-    """Within-solution distance table after adding edge e.
+    """Within-solution distance table after adding edge e; unchanged rows are shared.
 
-    Inner edge: three-way min over all vertex pairs (a simple path uses the
-    new edge at most once). Outer edge: the new vertex hangs off u, so it just
-    gains a row/column at d[x][u] + 1.
+    Inner edge {u, v}: a simple path uses it at most once, so d[x][y] can
+    only drop to d[x][u] + 1 + d[v][y], and only when x is at least 2 closer
+    to u than to v and y at least 2 closer to v than to u. Only the rows of
+    those x and y are copied and relaxed, in both orientations; each of them
+    changes, at column v or u. Outer edge: the new vertex hangs off u, so
+    every row gains a column at d[x][u] + 1.
     """
     g = state.g
     old = state.dist
@@ -166,20 +170,19 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
     if u in state.sol_verts and v in state.sol_verts:
         du = old[u]
         dv = old[v]
-        new: dict[int, dict[int, Length]] = {}
-        for x, rowx in old.items():
-            xu = rowx[u] + 1
-            xv = rowx[v] + 1
-            nrow: dict[int, Length] = {}
-            for y, d in rowx.items():
+        near_u = [x for x, dxu in du.items() if dv[x] - dxu >= 2]
+        near_v = [y for y, dyv in dv.items() if du[y] - dyv >= 2]
+        new = dict(old)
+        for x in near_u + near_v:
+            new[x] = dict(old[x])
+        for x in near_u:
+            rowx = new[x]
+            xu = du[x] + 1
+            for y in near_v:
                 alt = xu + dv[y]
-                if alt < d:
-                    d = alt
-                alt = xv + du[y]
-                if alt < d:
-                    d = alt
-                nrow[y] = d
-            new[x] = nrow
+                if alt < rowx[y]:
+                    rowx[y] = alt
+                    new[y][x] = alt
         return new
     if u not in state.sol_verts:
         u, v = v, u

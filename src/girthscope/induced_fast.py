@@ -3,21 +3,25 @@
 Instead of re-testing girth from scratch, each iteration keeps two tables for
 the current solution S:
 
-  dist[x][y]    shortest-path length between x and y in the induced graph on
-                S + {x, y} ("pair graph"), kept for x, y in S | cand with at
-                least one of them in cand (solution pairs are never read);
+  dist[u][y]    shortest-path length between u and y in the induced graph on
+                S + {u, y} ("pair graph"), kept in the row of each candidate
+                u for y in S | cand (solution vertices get no row: every
+                reader of a solution-candidate pair goes through the
+                candidate's row);
   second[u][w]  length of the best u-w path in the pair graph once the first
                 edge of a shortest path is removed, kept for u, w in cand.
 
 A candidate u stays valid after adding v iff dist[u][v] + second[u][v] >= k:
 any cycle through both decomposes into two paths no shorter than those two
 values, and all other cycles were already certified. dist is updated
-Floyd-Warshall style. second is updated by a constant-time case split when
-the old dist + second sum is below k, and otherwise recomputed in O(|S|)
-from the first hops of u into the new solution. The recompute is the common
-case: every pair with a newly adopted end takes it, and on sparse random
-graphs (40 G(16, 24) graphs at k = 5) 95-97% of candidate pairs do.
-Entries for vertices outside the table's scope are INFINITE by convention.
+Floyd-Warshall style, one candidate row at a time. second is updated by a
+constant-time case split when the old dist + second sum is below k, and
+otherwise recomputed in O(|S|) from the first hops of u into the new
+solution. The recompute is the common case: every pair with a newly adopted
+end takes it, and on sparse random graphs (40 G(16, 24) graphs at k = 5)
+95-97% of candidate pairs do. Excluding a candidate only marks it: its row
+and column stay in the tables, unread, because every later read is keyed by
+a current candidate. Entries outside the scope are INFINITE by convention.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ class InducedEnumState:
     reference. local_done holds the marks made below the root and is copied by
     advance, so a copy costs the branching along the current path, not n.
 
-    Tables are dicts of dicts holding finite entries only; get_dist/get_second
-    report INFINITE for anything absent, which covers out-of-scope vertices.
-    dist holds the pairs with a candidate end: a solution vertex's row has
-    candidate columns only, a candidate's row has solution and candidate
-    columns, so a step rebuilds O((|S| + |cand|) * |cand|) entries.
+    Tables are dicts of dicts holding finite entries only, never changed once
+    built. dist has one row per candidate, with solution and candidate
+    columns, so a step writes |cand| * (|S| + |cand|) entries. Rows of
+    excluded vertices stay in place unread. get_dist/get_second answer in
+    scope, (S | cand) x cand and cand x cand, and report INFINITE elsewhere.
     """
 
     __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist", "second")
@@ -97,16 +101,16 @@ class InducedEnumState:
         return UNREACHED
 
     def get_dist(self, x: int, y: int) -> Length:
-        row = self.dist.get(x)
-        if row is None:
+        if x not in self.cand:
+            x, y = y, x  # a solution-candidate pair lives in the candidate's row
+        if x not in self.cand or (y not in self.cand and y not in self.solution):
             return INFINITE
-        return row.get(y, INFINITE)
+        return self.dist[x].get(y, INFINITE)
 
     def get_second(self, u: int, w: int) -> Length:
-        row = self.second.get(u)
-        if row is None:
+        if u not in self.cand or w not in self.cand:
             return INFINITE
-        return row.get(w, INFINITE)
+        return self.second[u].get(w, INFINITE)
 
 
 def initial_state(g: Graph, k: Length) -> InducedEnumState:
@@ -130,15 +134,15 @@ def _split_old_candidates(state: InducedEnumState, v: int):
 
     Below the root every candidate is attached to S, so all of cand - {v} is
     scanned. At the empty-solution root only v's neighbours are attached to
-    {v}; they are the other keys of dist[v], so the scan skips the rest of
-    the graph.
+    {v}; they are the other keys of dist[v] still in cand (exclusion leaves
+    the keys in place), so the scan skips the rest of the graph.
     """
     survivors: set[int] = set()
     girth_dropped: set[int] = set()
     k = state.k
     dist = state.dist
     second = state.second
-    for u in state.cand if state.solution else dist[v]:
+    for u in state.cand if state.solution else state.cand.intersection(dist[v]):
         if u == v:
             continue
         if dist[u][v] + second[u].get(v, INFINITE) >= k:
@@ -180,15 +184,14 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
 
 
 def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int, dict[int, Length]]:
-    """Distance table for S + {v}, over the pairs with at least one end in newcand.
+    """Distance table for S + {v}: one row per vertex of newcand, over S + {v} + newcand.
 
     A surviving candidate u keeps min(dist[u][y], dist[u][v] + dist[v][y]) for
     every y in S + {v} and every other survivor; each such pair had a
     candidate end before, so both terms are stored. A vertex w adopted
     through v touches S + {v} only at v, so it sits at dist[v][x] + 1 from
     every x in S (the old entry is already the distance in S + {v}), and at
-    1 or dist[v][y] + 1 from another candidate y. Solution rows get the same
-    values through symmetry. Costs O((|S| + |newcand|) * |newcand|).
+    1 or dist[u][v] + 1 from a survivor u. Costs |newcand| * (|S| + |newcand|).
 
     Every pair in scope is finite: below the root S is connected and every
     candidate attaches to it. At the root only dist[u][y] between two
@@ -197,22 +200,18 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
     old = state.dist
     dv = old[v]
     sol = state.solution
-    survivors = [u for u in newcand if u in old]
-    adopted = [w for w in newcand if w not in old]
-    new: dict[int, dict[int, Length]] = {x: {} for x in sol}
-    nv: dict[int, Length] = {}
-    new[v] = nv
+    survivors = [u for u in newcand if u in state.cand]
+    adopted = [w for w in newcand if w not in state.cand]
+    new: dict[int, dict[int, Length]] = {}
     for u in survivors:
         rowu = old[u]
         duv = rowu[v]
         nrow: dict[int, Length] = {v: duv}
-        nv[u] = duv
         for x in sol:
             d = rowu[x]
             if duv + dv[x] < d:
                 d = duv + dv[x]
             nrow[x] = d
-            new[x][u] = d
         for y in survivors:
             d = rowu.get(y, INFINITE)
             if duv + dv[y] < d:
@@ -221,16 +220,14 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
         new[u] = nrow
     for i, w in enumerate(adopted):
         adj_w = state.g.neighbor_set(w)
-        roww: dict[int, Length] = {w: 0, v: 1}
-        nv[w] = 1
-        for x in sol:
-            d = dv[x] + 1
-            roww[x] = d
-            new[x][w] = d
+        roww: dict[int, Length] = {x: dv[x] + 1 for x in sol}
+        roww[w] = 0
+        roww[v] = 1
         for u in survivors:
-            d = 1 if u in adj_w else nv[u] + 1
+            rowu = new[u]
+            d = 1 if u in adj_w else rowu[v] + 1
             roww[u] = d
-            new[u][w] = d
+            rowu[w] = d
         for w2 in adopted[:i]:
             d = 1 if w2 in adj_w else 2  # otherwise they meet at v
             roww[w2] = d
@@ -274,7 +271,7 @@ def update_second(
             p1 = old_row.get(w, INFINITE) if old_row is not None else INFINITE
             p3 = old_sec.get(w, INFINITE) if old_sec is not None else INFINITE
             if p1 + p3 < k:
-                p2 = duv + new_dist[v][w]
+                p2 = duv + new_dist[w][v]
                 if stats is not None:
                     if p1 < p2:
                         stats.fast_old_path_shorter += 1
@@ -331,21 +328,11 @@ def exclude_candidate(state: InducedEnumState, v: int) -> None:
     """Drop v from this iteration's remaining subtree (the done-set step).
 
     The mark goes to the shared root part at the root and to the local part
-    below it. Only the table rows that hold v are touched: the keys of
-    dist[v], since dist is symmetric and a finite second[x][v] implies a
-    finite dist[x][v].
+    below it. The tables are not touched: every later read is keyed by a
+    current candidate, so v's row and column are never read again.
     """
     state.cand.discard(v)
     (state.local_done if state.solution else state.root_done).add(v)
-    dist = state.dist
-    second = state.second
-    second.pop(v, None)
-    for x in dist.pop(v, ()):
-        if x != v:
-            dist[x].pop(v, None)
-            row = second.get(x)
-            if row is not None:
-                row.pop(v, None)
 
 
 def branch_order(state: InducedEnumState) -> list[int]:

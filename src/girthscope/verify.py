@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 from .enum_core import Collector, EnumConfig, brute_force_enumerate, enumerate_baseline
 from .edges_fast import enumerate_edges_fast
+from .errors import ValidationError
 from .graph import Graph, INFINITE, Length, is_connected
 from .induced_fast import enumerate_induced_fast
 
@@ -91,6 +92,8 @@ def run_verification(
     combinations, and the fast engines against both on the connected modes
     (edge mode restricted to graphs with m <= max_m).
     """
+    if random_count < 0:
+        raise ValidationError("random_count must be >= 0")
     say = report or (lambda _msg: None)
     corpus = all_connected_graphs(5) + random_corpus(random_count, max_n, seed)
     failures: list[str] = []

@@ -7,6 +7,7 @@ classification.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 from girthscope import INFINITE, pair_distance, second_distance
@@ -76,3 +77,21 @@ def check_edge_state(g, k, state):
     )
     assert len(state.inner_cand) <= len(state.sol_verts)
     assert state.attachment <= state.sol_verts
+
+
+def check_advance_keeps_parent(state, advance, exclude, order):
+    """advance on every candidate of `state` leaves it equal to a deep copy taken before.
+
+    Each child is in turn advanced and excluded on each of its own
+    candidates, so a row or set that a child shares with its parent shows
+    here if a later step writes to it.
+    """
+    fields = [f for f in type(state).__slots__ if f not in ("g", "k")]
+    before = copy.deepcopy([getattr(state, f) for f in fields])
+    for x in order(state):
+        child = advance(state, x)
+        for y in order(child):
+            advance(child, y)
+            exclude(child, y)
+    after = [getattr(state, f) for f in fields]
+    assert after == before, f"advance changed the parent at S={sorted(state.solution)}"

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 import girthscope.bench as bench_module
-from girthscope import INFINITE, ValidationError, bench_compare, complete_graph, path_graph
+from girthscope import (
+    INFINITE,
+    BudgetExceededError,
+    ValidationError,
+    bench_compare,
+    complete_graph,
+    path_graph,
+)
+from girthscope.cli import EXIT_BUDGET, run_cli
 
 
 def test_trivial_graph_counts_agree():
@@ -54,3 +62,17 @@ def test_duplicated_solution_fails_even_when_counts_agree(monkeypatch):
         report = bench_compare(complete_graph(5), 4, mode="edge", limit=limit)
         assert report.fast_count == report.brute_count
         assert "status=FAILED" in report.to_kv_lines()
+
+
+def test_budget_is_checked_before_the_fast_run(monkeypatch, capsys):
+    # K_30 has 30 vertices and 435 edges, past the 2^28 budget in both modes;
+    # a fast run there would store every solution before brute force refused
+    def refused(*args, **kwargs):
+        raise AssertionError("the fast engine ran on an input over the brute-force budget")
+
+    monkeypatch.setattr(bench_module, "enumerate_edges_fast", refused)
+    monkeypatch.setattr(bench_module, "enumerate_induced_fast", refused)
+    for mode in ("edge", "induced"):
+        with pytest.raises(BudgetExceededError):
+            bench_compare(complete_graph(30), 4, mode=mode)
+    assert run_cli(["bench", "--complete", "30", "-k", "4"]) == EXIT_BUDGET

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from girthscope import ValidationError, run_verification
 from girthscope.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -152,3 +153,10 @@ def test_bench_reports_and_checks_counts(capsys):
 def test_verify_smoke(capsys):
     assert run_cli(["verify", "--random-count", "2", "--seed", "1"]) == EXIT_OK
     assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_negative_count(capsys):
+    with pytest.raises(ValidationError):
+        run_verification(random_count=-1)
+    assert run_cli(["verify", "--random-count", "-1"]) == EXIT_VALIDATION
+    assert "random_count must be >= 0" in capsys.readouterr().err

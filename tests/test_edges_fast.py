@@ -23,6 +23,7 @@ from girthscope import (
 )
 from girthscope.edges_fast import (
     advance,
+    branch_order,
     exclude_candidate,
     pair_girth_ok,
     seed_state,
@@ -31,7 +32,7 @@ from girthscope.edges_fast import (
     update_edge_cand,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_edge_state
+from _state_checks import check_advance_keeps_parent, check_edge_state
 
 
 def drive(g, k, edge_ids):
@@ -276,3 +277,30 @@ def test_on_state_sees_the_empty_root_first():
     assert seen[0] == ([], set(), set(range(g.m)))
     assert [solution for solution, _, _ in seen[1:4]] == [[0], [0, 1], [0, 1, 2]]
     assert all(solution for solution, _, _ in seen[1:])
+
+
+def test_advance_leaves_the_parent_untouched():
+    for g, k in [(complete_graph(5), 4), (complete_graph(5), 3), (cycle_graph(5), 3)]:
+        enumerate_edges_fast(
+            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance, exclude_candidate, branch_order)
+        )
+
+
+def test_inner_step_copies_exactly_the_rows_that_change():
+    # adding {u, v} shortens d[x][y] only through x..u-v..y, so every other
+    # row is shared with the parent by reference
+    steps = copied_total = rows_total = 0
+
+    def check(st):
+        nonlocal steps, copied_total, rows_total
+        for e in st.inner_cand:
+            new = update_dist_s(st, e)
+            copied = {x for x in new if new[x] is not st.dist[x]}
+            changed = {x for x in st.dist if new[x] != st.dist[x]}
+            assert copied == changed, f"edge {e} at S={sorted(st.solution)}"
+            steps += 1
+            copied_total += len(copied)
+            rows_total += len(new)
+
+    enumerate_edges_fast(complete_graph(6), 4, on_state=check)
+    assert steps > 0 and copied_total < rows_total

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthscope import (
+    GirthscopeError,
     Graph,
     ParseError,
     ValidationError,
@@ -232,3 +234,25 @@ def test_graphs_are_shareable_values():
     assert g == complete_graph(3)
     assert hash(g) == hash(complete_graph(3))
     assert g != path_graph(3)
+
+
+# lines built from both formats' tokens and small numbers, so that examples
+# get past the first line check and some parse
+PARSER_TOKEN = st.one_of(st.sampled_from(["p", "edge", "e", "c", "#", "-1", "2.5", "1_0"]), st.text(max_size=3))
+PARSER_LINE = st.one_of(
+    st.lists(PARSER_TOKEN, max_size=4),
+    st.tuples(st.sampled_from(["p edge", "e", ""]), st.lists(st.integers(-1, 5).map(str), max_size=4)).map(
+        lambda head_nums: [head_nums[0], *head_nums[1]]
+    ),
+).map(" ".join)
+PARSER_TEXT = st.one_of(st.text(), st.lists(PARSER_LINE, max_size=8).map("\n".join))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(PARSER_TEXT, st.booleans())
+def test_parsers_raise_only_girthscope_errors(text, weighted):
+    for parse in (parse_edge_list, parse_dimacs):
+        try:
+            parse(text, weighted=weighted)
+        except GirthscopeError:
+            pass

@@ -24,12 +24,13 @@ from girthscope import (
 from girthscope.induced_fast import (
     adopt_new_candidates,
     advance,
+    branch_order,
     exclude_candidate,
     filter_old_candidates,
     initial_state,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_induced_state
+from _state_checks import check_advance_keeps_parent, check_induced_state
 
 # path 0..5 with two "ears" (7, 8 on {0, 3}) and a shortcut vertex 6 on
 # {5, 7, 8}: at k=5 the constant-time second-distance update fires in both
@@ -275,3 +276,30 @@ def test_dist_table_keeps_only_pairs_with_a_candidate_end():
 
         count = enumerate_induced_fast(g, 5, on_state=check)
         assert seen == count  # one state per emitted solution (the root emits the empty one)
+
+
+def test_dist_table_has_candidate_rows_only():
+    # every solution-candidate pair is read through the candidate's row, so a
+    # solution vertex has no row and a step writes |cand| * (|S| + |cand|) entries
+    rng = random.Random(12)
+    n = 12
+    rand12 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    for g in (petersen_graph(), rand12):
+        seen = 0
+
+        def check(st):
+            nonlocal seen
+            seen += 1
+            assert not st.solution & set(st.dist), f"solution rows at S={sorted(st.solution)}"
+            entries = sum(len(row) for row in st.dist.values())
+            s, c = len(st.solution), len(st.cand)
+            assert entries <= s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
+
+        assert enumerate_induced_fast(g, 5, on_state=check) == seen
+
+
+def test_advance_leaves_the_parent_untouched():
+    for g, k in [(petersen_graph(), 5), (REGIME_FIXTURE, 5), (complete_graph(5), 3), (cycle_graph(6), INFINITE)]:
+        enumerate_induced_fast(
+            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance, exclude_candidate, branch_order)
+        )
