@@ -74,22 +74,6 @@ class EdgeEnumState:
     def cand(self) -> set[int]:
         return self.inner_cand | self.outer_cand
 
-    @property
-    def attachment(self) -> set[int]:
-        """Solution vertices incident to at least one candidate edge."""
-        out: set[int] = set()
-        for eid in self.inner_cand:
-            u, v = self.g.endpoints(eid)
-            out.add(u)
-            out.add(v)
-        for eid in self.outer_cand:
-            u, v = self.g.endpoints(eid)
-            if u in self.sol_verts:
-                out.add(u)
-            if v in self.sol_verts:
-                out.add(v)
-        return out
-
     def get_dist(self, x: int, y: int) -> Length:
         row = self.dist.get(x)
         if row is None:
@@ -118,15 +102,6 @@ def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumStat
                 outer.add(fid)
     dist = {u: {u: 0, v: 1}, v: {u: 1, v: 0}}
     return EdgeEnumState(g, k, {eid}, {u, v}, set(), outer, blocked, set(), dist)
-
-
-def select_edge(state: EdgeEnumState) -> int:
-    """Next edge to branch on: lowest-id inner candidate, else lowest-id outer."""
-    if state.inner_cand:
-        return min(state.inner_cand)
-    if state.outer_cand:
-        return min(state.outer_cand)
-    raise ValueError("select_edge on empty candidate sets")
 
 
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:

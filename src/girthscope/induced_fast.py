@@ -1,27 +1,33 @@
 """Fast connected-induced-subgraph enumerator with incremental candidate maintenance.
 
-Instead of re-testing girth from scratch, each iteration keeps two tables for
+Instead of re-testing girth from scratch, each iteration keeps one table for
 the current solution S:
 
   dist[u][y]    shortest-path length between u and y in the induced graph on
                 S + {u, y} ("pair graph"), kept in the row of each candidate
                 u for y in S | cand (solution vertices get no row: every
                 reader of a solution-candidate pair goes through the
-                candidate's row);
-  second[u][w]  length of the best u-w path in the pair graph once the first
-                edge of a shortest path is removed, kept for u, w in cand.
+                candidate's row).
 
-A candidate u stays valid after adding v iff dist[u][v] + second[u][v] >= k:
-any cycle through both decomposes into two paths no shorter than those two
-values, and all other cycles were already certified. dist is updated
-Floyd-Warshall style, one candidate row at a time. second is updated by a
-constant-time case split when the old dist + second sum is below k, and
-otherwise recomputed in O(|S|) from the first hops of u into the new
-solution. The recompute is the common case: every pair with a newly adopted
-end takes it, and on sparse random graphs (40 G(16, 24) graphs at k = 5)
-95-97% of candidate pairs do. Excluding a candidate only marks it: its row
-and column stay in the tables, unread, because every later read is keyed by
-a current candidate. Entries outside the scope are INFINITE by convention.
+Adding v keeps a candidate u iff the two smallest first-hop lengths of u
+towards v sum to at least k. A first hop is a neighbour y of u in S + {v},
+and its length is dist[v][y] + 1 (1 for y = v): the rest of a u-v path runs
+inside G[S + {v}], which is v's own pair graph with y. The smallest of these
+lengths is dist[u][v]; the second smallest (ties counted twice) is the
+paper's second distance, the u-v distance once the first edge of a shortest
+path is removed. The rule is exact. Two distinct first hops of total length
+L close a walk of length L through u that uses each of its two u-edges once,
+so it contains a cycle through u of length at most L; a cycle that misses v
+lies in G[S + {u}] and is already at least k long. Conversely a cycle through
+u and v leaves u by two distinct first hops and reaches v along each side,
+so it is at least as long as their sum; cycles missing u or v were certified
+when those vertices became candidates. v's row holds every length the rule
+reads, so the filter needs no second table: it costs O(deg u) per candidate,
+and nothing when 2 * dist[u][v] >= k, since the second length is at least
+the first. dist is updated Floyd-Warshall style, one candidate row at a
+time. Excluding a candidate only marks it: its row and column stay in the
+table, unread, because every later read is keyed by a current candidate.
+Entries outside the scope are INFINITE by convention.
 """
 
 from __future__ import annotations
@@ -32,43 +38,36 @@ from dataclasses import dataclass
 from .enum_core import SolutionSink, search, validate_fast_input
 from .graph import Graph, INFINITE, Length
 
-IN_SOLUTION = "in-solution"
-CANDIDATE = "candidate"
-GIRTH_EXCLUDED = "girth-excluded"
-DONE_EXCLUDED = "done-excluded"
-UNREACHED = "unreached"
-
 
 @dataclass
 class InducedRunStats:
-    """Counters for one enumeration run (work accounting and case coverage)."""
+    """Counters for one enumeration run (work accounting)."""
 
     iterations: int = 0
     max_depth: int = 0
-    candidate_pairs: int = 0
-    fast_old_path_shorter: int = 0  # constant-time update, old shortest beats the via-v path
-    fast_via_path_shorter: int = 0  # constant-time update, via-v path at least ties
-    full_recomputes: int = 0
+    candidate_pairs: int = 0  # (old candidate, added vertex) pairs the filter decided
 
 
 class InducedEnumState:
-    """Per-iteration state: solution, candidate set, exclusion sets, both tables.
+    """Per-iteration state: solution, candidate set, exclusion sets, distance table.
 
     Done-exclusion marks come in two parts. root_done holds the marks made at
     the empty-solution root; every state of one run shares that set by
     reference. local_done holds the marks made below the root and is copied by
     advance, so a copy costs the branching along the current path, not n.
 
-    Tables are dicts of dicts holding finite entries only, never changed once
-    built. dist has one row per candidate, with solution and candidate
-    columns, so a step writes |cand| * (|S| + |cand|) entries. Rows of
-    excluded vertices stay in place unread. get_dist/get_second answer in
-    scope, (S | cand) x cand and cand x cand, and report INFINITE elsewhere.
+    dist is a dict of dicts holding finite entries only, never changed once
+    built. It has one row per candidate, with solution and candidate columns,
+    so a step writes |cand| * (|S| + |cand|) entries. Rows of excluded
+    vertices stay in place unread. get_dist answers in scope, (S | cand) x
+    cand, and get_second on cand x cand; both report INFINITE elsewhere. No
+    second-distance table is stored: get_second and the `second` property
+    derive it from the distance rows, by the first-hop rule the filter uses.
     """
 
-    __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist", "second")
+    __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist")
 
-    def __init__(self, g, k, solution, cand, root_done, local_done, girth_blocked, dist, second):
+    def __init__(self, g, k, solution, cand, root_done, local_done, girth_blocked, dist):
         self.g = g
         self.k = k
         self.solution = solution
@@ -77,7 +76,6 @@ class InducedEnumState:
         self.local_done = local_done
         self.girth_blocked = girth_blocked
         self.dist = dist
-        self.second = second
 
     @property
     def done_blocked(self) -> set[int]:
@@ -89,16 +87,22 @@ class InducedEnumState:
         """
         return (self.root_done - self.solution) | self.local_done
 
-    def status(self, v: int) -> str:
-        if v in self.solution:
-            return IN_SOLUTION
-        if v in self.cand:
-            return CANDIDATE
-        if v in self.root_done or v in self.local_done:
-            return DONE_EXCLUDED
-        if v in self.girth_blocked:
-            return GIRTH_EXCLUDED
-        return UNREACHED
+    @property
+    def second(self) -> dict[int, dict[int, Length]]:
+        """Finite second distances over cand x cand, as a fresh table (the engine never builds it).
+
+        At the root no candidate has a first hop besides its partner, so every
+        row is empty.
+        """
+        if not self.solution:
+            return {u: {} for u in self.cand}
+        table: dict[int, dict[int, Length]] = {}
+        for u in self.cand:
+            row = table[u] = {}
+            for w in self.cand:
+                if w != u and (s := self.get_second(u, w)) != INFINITE:
+                    row[w] = s
+        return table
 
     def get_dist(self, x: int, y: int) -> Length:
         if x not in self.cand:
@@ -108,16 +112,15 @@ class InducedEnumState:
         return self.dist[x].get(y, INFINITE)
 
     def get_second(self, u: int, w: int) -> Length:
-        if u not in self.cand or w not in self.cand:
+        if u == w or u not in self.cand or w not in self.cand:
             return INFINITE
-        return self.second[u].get(w, INFINITE)
+        return _second_distance_via_row(self.g, self.solution, u, w, self.dist[w])
 
 
 def initial_state(g: Graph, k: Length) -> InducedEnumState:
     """State for the empty solution: every vertex is a candidate.
 
-    Pair graphs contain just the two query vertices, so dist is 1 on edges and
-    the second distance is nowhere finite.
+    Pair graphs contain just the two query vertices, so dist is 1 on edges.
     """
     dist: dict[int, dict[int, Length]] = {}
     for v in range(g.n):
@@ -125,40 +128,61 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
         for nb in g.neighbors(v):
             row[nb] = 1
         dist[v] = row
-    second: dict[int, dict[int, Length]] = {v: {} for v in range(g.n)}
-    return InducedEnumState(g, k, set(), set(range(g.n)), set(), set(), set(), dist, second)
+    return InducedEnumState(g, k, set(), set(range(g.n)), set(), set(), set(), dist)
+
+
+def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict[int, Length]) -> Length:
+    """Second smallest first-hop length of u towards w: the u-w second distance.
+
+    The first hops are u's neighbours y in S + {w}, of length roww[y] + 1 (1
+    for y = w), where roww is w's distance row; ties count twice. INFINITE
+    when u has fewer than two first hops.
+    """
+    first = second = INFINITE
+    for y in g.neighbors(u):
+        if y == w:
+            d = 1
+        elif y in sol:
+            d = roww[y] + 1
+        else:
+            continue
+        if d < second:
+            if d < first:
+                first, second = d, first
+            else:
+                second = d
+    return second
 
 
 def _split_old_candidates(state: InducedEnumState, v: int):
     """Partition the old candidates attached to S + {v}: (survivors, girth_dropped).
 
+    u survives iff dist[u][v] + second >= k, where dist[u][v] = dist[v][u] is
+    its smallest first-hop length and second the next one (module
+    docstring); when 2 * dist[u][v] >= k the scan for second is skipped.
     Below the root every candidate is attached to S, so all of cand - {v} is
     scanned. At the empty-solution root only v's neighbours are attached to
     {v}; they are the other keys of dist[v] still in cand (exclusion leaves
-    the keys in place), so the scan skips the rest of the graph.
+    the keys in place), and all of them survive, since v is their only first
+    hop.
     """
+    dv = state.dist[v]
+    sol = state.solution
+    if not sol:
+        return state.cand.intersection(dv) - {v}, set()
     survivors: set[int] = set()
     girth_dropped: set[int] = set()
+    g = state.g
     k = state.k
-    dist = state.dist
-    second = state.second
-    for u in state.cand if state.solution else state.cand.intersection(dist[v]):
+    for u in state.cand:
         if u == v:
             continue
-        if dist[u][v] + second[u].get(v, INFINITE) >= k:
+        d = dv[u]
+        if 2 * d >= k or d + _second_distance_via_row(g, sol, u, v, dv) >= k:
             survivors.add(u)
         else:
             girth_dropped.add(u)
     return survivors, girth_dropped
-
-
-def filter_old_candidates(state: InducedEnumState, v: int) -> set[int]:
-    """Old candidates still valid for S + {v}, decided in O(1) per candidate.
-
-    A candidate u survives iff dist[u][v] + second[u][v] >= k (and, from the
-    root only, iff it is attached at all).
-    """
-    return _split_old_candidates(state, v)[0]
 
 
 def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
@@ -236,79 +260,13 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
     return new
 
 
-def update_second(
-    state: InducedEnumState,
-    v: int,
-    newcand: set[int],
-    new_dist: dict[int, dict[int, Length]],
-    stats: InducedRunStats | None = None,
-) -> dict[int, dict[int, Length]]:
-    """Second-distance table for S + {v} over the new candidate pairs.
-
-    When the old dist + second sum is below k the new value follows in O(1)
-    from (old dist, via-v dist, old second): min(max(p1, p2), p3). Otherwise
-    it is recomputed as the best first hop from u into the new solution that
-    does not reuse the shortest path's first edge.
-    """
-    g = state.g
-    k = state.k
-    old_dist = state.dist
-    old_second = state.second
-    sol2 = state.solution | {v}
-    new: dict[int, dict[int, Length]] = {}
-    pairs = 0
-    for u in newcand:
-        old_row = old_dist.get(u)
-        old_sec = old_second.get(u)
-        du = new_dist[u]
-        duv = du[v]
-        hops = [y for y in g.neighbors(u) if y in sol2]  # ascending
-        nrow: dict[int, Length] = {}
-        for w in newcand:
-            if w == u:
-                continue
-            pairs += 1
-            p1 = old_row.get(w, INFINITE) if old_row is not None else INFINITE
-            p3 = old_sec.get(w, INFINITE) if old_sec is not None else INFINITE
-            if p1 + p3 < k:
-                p2 = duv + new_dist[w][v]
-                if stats is not None:
-                    if p1 < p2:
-                        stats.fast_old_path_shorter += 1
-                    else:
-                        stats.fast_via_path_shorter += 1
-                val = min(p2 if p1 < p2 else p1, p3)
-            else:
-                if stats is not None:
-                    stats.full_recomputes += 1
-                target = du[w]
-                row_w_dist = new_dist[w]
-                first_hop_found = False
-                val = INFINITE
-                if w in g.neighbor_set(u):
-                    scan = sorted(hops + [w])
-                else:
-                    scan = hops
-                for y in scan:
-                    dyw1 = (row_w_dist.get(y, INFINITE) if y != w else 0) + 1
-                    if not first_hop_found and dyw1 == target:
-                        first_hop_found = True  # this edge is the removed one
-                        continue
-                    if dyw1 < val:
-                        val = dyw1
-            if val != INFINITE:
-                nrow[w] = val
-        new[u] = nrow
-    if stats is not None:
-        stats.candidate_pairs += pairs
-    return new
-
-
 def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = None) -> InducedEnumState:
     """Child state for solution S + {v}; the parent is left untouched."""
     survivors, girth_dropped = _split_old_candidates(state, v)
+    if stats is not None:
+        stats.candidate_pairs += len(survivors) + len(girth_dropped)
     newcand = survivors | adopt_new_candidates(state, v)
-    child = InducedEnumState(
+    return InducedEnumState(
         state.g,
         state.k,
         state.solution | {v},
@@ -316,19 +274,15 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
         state.root_done,
         set(state.local_done),
         state.girth_blocked | girth_dropped,
-        {},
-        {},
+        update_dist(state, v, newcand),
     )
-    child.dist = update_dist(state, v, newcand)
-    child.second = update_second(state, v, newcand, child.dist, stats)
-    return child
 
 
 def exclude_candidate(state: InducedEnumState, v: int) -> None:
     """Drop v from this iteration's remaining subtree (the done-set step).
 
     The mark goes to the shared root part at the root and to the local part
-    below it. The tables are not touched: every later read is keyed by a
+    below it. The table is not touched: every later read is keyed by a
     current candidate, so v's row and column are never read again.
     """
     state.cand.discard(v)
@@ -354,9 +308,9 @@ def enumerate_induced_fast(
 
     Same solution set as the baseline engine in connected induced mode, but
     candidate sets are maintained incrementally. Each recursion level owns its
-    candidate set, tables and local exclusion marks, so backtracking needs no
-    undo; the root's exclusion marks are shared by every state below it,
-    which is exact because a subtree is finished before the root marks its
+    candidate set, distance table and local exclusion marks, so backtracking
+    needs no undo; the root's exclusion marks are shared by every state below
+    it, which is exact because a subtree is finished before the root marks its
     next vertex. Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)

@@ -2,7 +2,9 @@
 
 Each checker compares one live enumerator state against the reference
 oracles: distance tables entry-wise, candidate sets against the naive
-classification.
+classification. The views of a state that only tests read (vertex status,
+the induced filter's survivors, the edge selection rule, attachment) live
+here too, so the engines carry none of them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,50 @@ from collections import deque
 
 from girthscope import INFINITE, pair_distance, second_distance
 from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive
+from girthscope.induced_fast import _split_old_candidates
+
+IN_SOLUTION = "in-solution"
+CANDIDATE = "candidate"
+GIRTH_EXCLUDED = "girth-excluded"
+DONE_EXCLUDED = "done-excluded"
+UNREACHED = "unreached"
+
+
+def status(state, v):
+    """Where vertex v stands in an induced state."""
+    if v in state.solution:
+        return IN_SOLUTION
+    if v in state.cand:
+        return CANDIDATE
+    if v in state.root_done or v in state.local_done:
+        return DONE_EXCLUDED
+    if v in state.girth_blocked:
+        return GIRTH_EXCLUDED
+    return UNREACHED
+
+
+def filter_old_candidates(state, v):
+    """Old candidates of an induced state still valid for S + {v}."""
+    return _split_old_candidates(state, v)[0]
+
+
+def select_edge(state):
+    """Lowest-id inner candidate of an edge state, else its lowest-id outer one."""
+    if state.inner_cand:
+        return min(state.inner_cand)
+    if state.outer_cand:
+        return min(state.outer_cand)
+    raise ValueError("select_edge on empty candidate sets")
+
+
+def attachment(state):
+    """Solution vertices of an edge state incident to at least one candidate edge."""
+    out = set()
+    for eid in state.inner_cand:
+        out.update(state.g.endpoints(eid))
+    for eid in state.outer_cand:
+        out.update(x for x in state.g.endpoints(eid) if x in state.sol_verts)
+    return out
 
 
 def check_induced_state(g, k, state):
@@ -76,7 +122,7 @@ def check_edge_state(g, k, state):
         f"outer {sorted(state.outer_cand)} != {sorted(naive - inner)} at S={sorted(state.solution)}"
     )
     assert len(state.inner_cand) <= len(state.sol_verts)
-    assert state.attachment <= state.sol_verts
+    assert attachment(state) <= state.sol_verts
 
 
 def check_advance_keeps_parent(state, advance, exclude, order):

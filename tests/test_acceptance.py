@@ -30,14 +30,12 @@ from girthscope import (
     path_graph,
     petersen_graph,
 )
+from girthscope import edges_fast
 from girthscope.cli import EXIT_OK, run_cli
-from girthscope.edges_fast import advance as edge_advance
-from girthscope.edges_fast import exclude_candidate as edge_exclude
-from girthscope.edges_fast import seed_state
-from girthscope.induced_fast import filter_old_candidates
+from girthscope.enum_core import search
 from girthscope.verify import all_connected_graphs, random_corpus
 from _oracles import brute_girth
-from _state_checks import check_edge_state, check_induced_state
+from _state_checks import check_edge_state, check_induced_state, filter_old_candidates
 
 THRESHOLDS = (3, 4, 5, 6, INFINITE)
 
@@ -131,41 +129,33 @@ def test_criterion_4_state_fidelity():
 def test_criterion_5_transition_invariants():
     # inner candidates never outnumber solution vertices; an inner step leaves
     # outer candidates untouched and strictly shrinks the inner set
-    def run_edge_invariants(g, k, budget=20_000):
-        seen = 0
-        blocked: set[int] = set()
-        stack = []
-        for root_edge in range(g.m):
-            child = seed_state(g, k, root_edge, blocked)
-            blocked.add(root_edge)
-            stack.append([child, sorted(child.inner_cand) + sorted(child.outer_cand), 0])
-            while stack:
-                frame = stack[-1]
-                state, order, i = frame
-                if i == len(order):
-                    stack.pop()
-                    continue
-                frame[2] += 1
-                e = order[i]
-                was_inner = e in state.inner_cand
-                pre_inner = frozenset(state.inner_cand)
-                pre_outer = frozenset(state.outer_cand)
-                nxt = edge_advance(state, e)
-                edge_exclude(state, e)
-                assert len(nxt.inner_cand) <= len(nxt.sol_verts)
-                if was_inner:
-                    assert nxt.outer_cand == pre_outer
-                    assert nxt.inner_cand < pre_inner
-                seen += 1
-                if seen >= budget:
-                    return
-                stack.append([nxt, sorted(nxt.inner_cand) + sorted(nxt.outer_cand), 0])
+    def checking_advance(state, e, stats=None):
+        was_inner = e in state.inner_cand
+        pre_inner = frozenset(state.inner_cand)
+        pre_outer = frozenset(state.outer_cand)
+        nxt = edges_fast.advance(state, e, stats)
+        assert len(nxt.inner_cand) <= len(nxt.sol_verts)
+        if was_inner:
+            assert nxt.outer_cand == pre_outer
+            assert nxt.inner_cand < pre_inner
+        checked.append(e)
+        return nxt
 
     for g, ks in [(cycle_graph(4), (4,)), (complete_graph(4), (3, 4)), (petersen_graph(), (5,))]:
         for k in ks:
-            run_edge_invariants(g, k)
+            checked: list[int] = []
+            count = search(
+                edges_fast.initial_state(g, k),
+                edges_fast.branch_order,
+                checking_advance,
+                edges_fast.exclude_candidate,
+                None,
+                include_empty=False,
+                limit=20_000,
+            )
+            assert len(checked) == count == enumerate_edges_fast(g, k, include_empty=False, limit=20_000)
 
-    # the O(1) candidate test agrees with a from-scratch girth check on every
+    # the induced candidate filter agrees with a from-scratch girth check on every
     # (candidate, added-vertex) pair the filter ever decides
     def check_filter(st):
         for v in st.cand:

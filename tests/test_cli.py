@@ -7,6 +7,7 @@ import pytest
 from girthscope import ValidationError, run_verification
 from girthscope.cli import (
     EXIT_BUDGET,
+    EXIT_DISCREPANCY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -160,3 +161,33 @@ def test_verify_rejects_a_negative_count(capsys):
         run_verification(random_count=-1)
     assert run_cli(["verify", "--random-count", "-1"]) == EXIT_VALIDATION
     assert "random_count must be >= 0" in capsys.readouterr().err
+
+
+# every error path of run_cli: argv, whether the fast edge engine is replaced
+# by one that finds nothing, exit code, stderr prefix; "@name" stands for a
+# file holding ERROR_INPUTS[name] ("@missing" for one that does not exist)
+ERROR_INPUTS = {"k3": K3, "bad": "0 1 oops\n", "loop": "0 0\n"}
+ERROR_PATHS = [
+    pytest.param(["bench", "--complete", "4", "-k", "4"], True, EXIT_DISCREPANCY,
+                 "fast solutions differ from brute force", id="discrepancy"),
+    pytest.param(["count", "-k", "4"], False, EXIT_USAGE, "usage: girthscope count", id="argparse"),
+    pytest.param(["bench", "-k", "4"], False, EXIT_USAGE, "bench needs exactly one of", id="bench-source"),
+    pytest.param(["count", "--graph", "@k3", "-k", "3", "--connectivity", "any"], False, EXIT_USAGE,
+                 "usage error: ", id="flag-combination"),
+    pytest.param(["girth", "--graph", "@bad"], False, EXIT_PARSE, "parse error: ", id="parse"),
+    pytest.param(["girth", "--graph", "@missing"], False, EXIT_PARSE, "parse error: cannot read", id="unreadable"),
+    pytest.param(["girth", "--graph", "@loop"], False, EXIT_VALIDATION, "invalid input: ", id="validation"),
+    pytest.param(["verify", "--random-count", "-1"], False, EXIT_VALIDATION, "invalid input: ", id="negative-count"),
+    pytest.param(["bench", "--complete", "30", "-k", "4"], False, EXIT_BUDGET, "budget exceeded: ", id="budget"),
+]
+
+
+@pytest.mark.parametrize("argv,fake_engine,code,prefix", ERROR_PATHS)
+def test_each_error_path_exits_with_its_code(argv, fake_engine, code, prefix, tmp_path, monkeypatch, capsys):
+    if fake_engine:
+        monkeypatch.setattr("girthscope.bench.enumerate_edges_fast", lambda g, k, sink=None, **kwargs: 0)
+    for name, text in ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    assert run_cli(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)

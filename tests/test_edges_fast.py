@@ -27,12 +27,11 @@ from girthscope.edges_fast import (
     exclude_candidate,
     pair_girth_ok,
     seed_state,
-    select_edge,
     update_dist_s,
     update_edge_cand,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_advance_keeps_parent, check_edge_state
+from _state_checks import check_advance_keeps_parent, check_edge_state, select_edge
 
 
 def drive(g, k, edge_ids):

@@ -20,21 +20,21 @@ from girthscope import (
     enumerate_induced_fast,
     path_graph,
     petersen_graph,
+    second_distance,
 )
 from girthscope.induced_fast import (
     adopt_new_candidates,
     advance,
     branch_order,
     exclude_candidate,
-    filter_old_candidates,
     initial_state,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_advance_keeps_parent, check_induced_state
+from _state_checks import check_advance_keeps_parent, check_induced_state, filter_old_candidates, status
 
 # path 0..5 with two "ears" (7, 8 on {0, 3}) and a shortcut vertex 6 on
-# {5, 7, 8}: at k=5 the constant-time second-distance update fires in both
-# regimes (via-v path shorter as well as longer than the old shortest)
+# {5, 7, 8}: at k=5 a path through the added vertex is sometimes shorter and
+# sometimes longer than the old shortest one
 REGIME_FIXTURE = Graph(
     9,
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 7), (3, 7), (0, 8), (3, 8), (5, 6), (6, 7), (6, 8)],
@@ -98,7 +98,7 @@ def test_update_dist_never_lengthens():
 
 def test_update_second_examples():
     st = state_at(cycle_graph(4), 4, [0, 1])
-    assert st.get_second(2, 3) == 3  # fresh pair, recomputed in full
+    assert st.get_second(2, 3) == 3  # first hops 1 (the edge) and 3 (via 1 and 0)
     assert st.get_second(3, 2) == 3
     st5 = state_at(cycle_graph(4), 5, [0])
     assert st5.get_second(1, 3) == INFINITE  # lone route, nothing after removing it
@@ -107,17 +107,17 @@ def test_update_second_examples():
 def test_statuses_and_done_exclusion():
     c4 = cycle_graph(4)
     st = state_at(c4, 5, [0])
-    assert st.status(0) == "in-solution"
-    assert st.status(1) == "candidate"
-    assert st.status(2) == "unreached"
+    assert status(st, 0) == "in-solution"
+    assert status(st, 1) == "candidate"
+    assert status(st, 2) == "unreached"
     exclude_candidate(st, 1)
-    assert st.status(1) == "done-excluded"
+    assert status(st, 1) == "done-excluded"
     assert st.cand == {3}
     assert st.get_dist(3, 1) == INFINITE  # out of scope once excluded
 
     stg = state_at(c4, 5, [0, 1])  # adding 1 kills nothing; adding 2 girth-drops 3
     child = advance(stg, 2)
-    assert child.status(3) == "girth-excluded"
+    assert status(child, 3) == "girth-excluded"
     assert child.cand == set()
 
 
@@ -207,16 +207,32 @@ def test_candidate_filter_agrees_with_girth_check_per_pair():
             enumerate_induced_fast(g, k, on_state=check, limit=40)
 
 
-def test_both_constant_time_regimes_fire():
-    stats = InducedRunStats()
-    enumerate_induced_fast(REGIME_FIXTURE, 5, stats=stats)
-    assert stats.fast_via_path_shorter > 0
-    assert stats.fast_old_path_shorter > 0
-    assert stats.full_recomputes > 0
-    # and stays correct on that fixture
+def test_filter_decides_by_dist_plus_second_distance():
+    # at every state, the old candidate u survives adding v iff it is attached
+    # and dist + second >= k, with second from the from-scratch oracle rather
+    # than from the first-hop rule the filter itself uses
+    rng = random.Random(12)
+    n = 12
+    rand12 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    k = 5
+    for g in (REGIME_FIXTURE, petersen_graph(), rand12):
+        pairs = 0
+
+        def check(st):
+            nonlocal pairs
+            for v in st.cand:
+                keep = filter_old_candidates(st, v)
+                for u in st.cand - {v}:
+                    d = st.get_dist(u, v)
+                    expected = d != INFINITE and d + second_distance(g, st.solution, u, v) >= k
+                    assert (u in keep) == expected, (sorted(st.solution), u, v)
+                    pairs += 1
+
+        enumerate_induced_fast(g, k, on_state=check)
+        assert pairs
     fast = Collector()
-    enumerate_induced_fast(REGIME_FIXTURE, 5, fast)
-    assert set(fast.solutions) == set(brute_force_enumerate(REGIME_FIXTURE, EnumConfig(k=5)))
+    enumerate_induced_fast(REGIME_FIXTURE, k, fast)
+    assert set(fast.solutions) == set(brute_force_enumerate(REGIME_FIXTURE, EnumConfig(k=k)))
 
 
 def test_work_accounting_reported():
