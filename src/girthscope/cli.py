@@ -42,7 +42,7 @@ def _add_graph_options(p: argparse.ArgumentParser):
         "--format",
         choices=("auto", "edgelist", "dimacs"),
         default="auto",
-        help="input format (auto: DIMACS if a 'p' line is present)",
+        help="input format (auto: DIMACS if a four-token 'p' line is present)",
     )
     p.add_argument("--weighted", action="store_true", help="read and use integer edge weights")
 
@@ -61,9 +61,13 @@ def _load_graph(args) -> Graph:
         text = Path(args.graph).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {args.graph}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {args.graph}: not text ({exc.reason})") from exc
     fmt = args.format
     if fmt == "auto":
-        has_p_line = any(line.strip().startswith("p") and line.strip()[1:2].isspace() for line in text.splitlines())
+        # a DIMACS header "p edge <n> <m>" has four tokens; an edge-list line has two or three
+        lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+        has_p_line = any(len(tokens) == 4 and tokens[0] == "p" for tokens in lines)
         fmt = "dimacs" if has_p_line else "edgelist"
     weighted = getattr(args, "weighted", False)
     if fmt == "dimacs":

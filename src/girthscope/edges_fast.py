@@ -10,6 +10,13 @@ The only table kept is dist[x][y]: shortest-path length between x and y using
 solution edges only. Adding an edge never needs a fresh girth computation:
 every cycle a candidate edge f could close passes through f, so its length
 follows from dist in O(1). An inner edge copies only the rows it shortens.
+
+A table is built when its state is, unless the state has no candidate: such a
+leaf never branches, so the engine never reads its table. A leaf keeps its
+parent's table, its parent's vertex set and the edge instead, and builds the
+table through the same update_dist_s step the first time it is read. Every
+table the engine reads belongs to a state that branches, so a pending table
+always rests on a built one.
 """
 
 from __future__ import annotations
@@ -39,14 +46,22 @@ class EdgeEnumState:
     copied by advance, so a copy costs the branching along the current path,
     not m.
 
+    solution is a frozenset, so emitting it copies nothing. sol_verts may be
+    the parent's set: no code mutates it.
+
     dist covers all vertices of the current solution subgraph (sol_verts), not
     just those touching a candidate; a shortest path may run through vertices
     that no candidate is incident to. Rows are never changed once built, so a
     child shares the rows an inner step leaves unchanged with its parent.
+
+    advance builds a leaf (no candidate) with dist None and sets its pending
+    slot to the parent's table, the parent's sol_verts and the added edge;
+    the dist property builds the table from them on first read.
     """
 
     __slots__ = (
-        "g", "k", "solution", "sol_verts", "inner_cand", "outer_cand", "root_blocked", "local_blocked", "dist"
+        "g", "k", "solution", "sol_verts", "inner_cand", "outer_cand", "root_blocked", "local_blocked",
+        "_dist", "_pending",
     )
 
     def __init__(self, g, k, solution, sol_verts, inner_cand, outer_cand, root_blocked, local_blocked, dist):
@@ -58,7 +73,20 @@ class EdgeEnumState:
         self.outer_cand = outer_cand
         self.root_blocked = root_blocked
         self.local_blocked = local_blocked
-        self.dist = dist
+        self._dist = dist
+        self._pending = None
+
+    @property
+    def dist(self) -> dict[int, dict[int, Length]]:
+        """Within-solution distance table, built on first read for a leaf."""
+        table = self._dist
+        if table is None:
+            parent_dist, parent_sol_verts, e = self._pending
+            # the parent as update_dist_s reads it: graph, vertex set and table
+            parent = EdgeEnumState(self.g, self.k, None, parent_sol_verts, None, None, None, None, parent_dist)
+            table = self._dist = update_dist_s(parent, e)
+            self._pending = None
+        return table
 
     @property
     def blocked(self) -> set[int]:
@@ -83,7 +111,7 @@ class EdgeEnumState:
 
 def initial_state(g: Graph, k: Length) -> EdgeEnumState:
     """State for the empty solution: no vertices, every edge an outer candidate."""
-    return EdgeEnumState(g, k, set(), set(), set(), set(range(g.m)), set(), set(), {})
+    return EdgeEnumState(g, k, frozenset(), set(), set(), set(range(g.m)), set(), set(), {})
 
 
 def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumState:
@@ -101,7 +129,7 @@ def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumStat
             if fid != eid and fid not in blocked:
                 outer.add(fid)
     dist = {u: {u: 0, v: 1}, v: {u: 1, v: 0}}
-    return EdgeEnumState(g, k, {eid}, {u, v}, set(), outer, blocked, set(), dist)
+    return EdgeEnumState(g, k, frozenset((eid,)), {u, v}, set(), outer, blocked, set(), dist)
 
 
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
@@ -210,7 +238,8 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
 def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
     """Child state for solution S + {e}; the parent is left untouched.
 
-    From the empty root the child is seed_state's single-edge state.
+    From the empty root the child is seed_state's single-edge state. A child
+    with no candidate is a leaf and gets its table only when it is read.
     """
     if not state.solution:
         return seed_state(state.g, state.k, e, state.root_blocked)
@@ -224,19 +253,21 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
             stats.outer_picks += 1
         stats.pair_checks += len(state.inner_cand) if is_inner else g.degree(v if v not in state.sol_verts else u)
     inner, outer = update_edge_cand(state, e)
-    dist = update_dist_s(state, e)
-    sol_verts = state.sol_verts if is_inner else state.sol_verts | ({u, v} - state.sol_verts)
-    return EdgeEnumState(
+    dist = update_dist_s(state, e) if inner or outer else None
+    child = EdgeEnumState(
         g,
         state.k,
         state.solution | {e},
-        set(sol_verts),
+        state.sol_verts if is_inner else state.sol_verts | {u, v},
         inner,
         outer,
         state.root_blocked,
         set(state.local_blocked),
         dist,
     )
+    if dist is None:
+        child._pending = (state.dist, state.sol_verts, e)
+    return child
 
 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:

@@ -51,6 +51,8 @@ class InducedRunStats:
 class InducedEnumState:
     """Per-iteration state: solution, candidate set, exclusion sets, distance table.
 
+    solution is a frozenset, so emitting it copies nothing.
+
     Done-exclusion marks come in two parts. root_done holds the marks made at
     the empty-solution root; every state of one run shares that set by
     reference. local_done holds the marks made below the root and is copied by
@@ -128,7 +130,7 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
         for nb in g.neighbors(v):
             row[nb] = 1
         dist[v] = row
-    return InducedEnumState(g, k, set(), set(range(g.n)), set(), set(), set(), dist)
+    return InducedEnumState(g, k, frozenset(), set(range(g.n)), set(), set(), set(), dist)
 
 
 def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict[int, Length]) -> Length:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthscope import ValidationError, run_verification
 from girthscope.cli import (
@@ -137,6 +138,34 @@ def test_dimacs_input(graph_file, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def test_p_label_is_not_a_dimacs_header(graph_file, capsys):
+    # only a four-token "p" line marks DIMACS; "p q" is an edge between labels p and q
+    path = graph_file("p q\nq r\n")
+    assert run_cli(["count", "--graph", path, "-k", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "7"
+    assert run_cli(["count", "--graph", graph_file("# p edge 2 1\np q\n"), "-k", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "4"
+
+
+# lines built from the tokens format detection and both parsers look at
+DETECTION_TOKENS = st.one_of(
+    st.sampled_from(["p", "e", "c", "#", "edge", "col"]), st.integers(0, 12).map(str), st.text(max_size=3)
+)
+GRAPH_FILES = st.one_of(
+    st.text().map(str.encode),
+    st.binary(),
+    st.lists(st.lists(DETECTION_TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join).map(str.encode),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(GRAPH_FILES)
+def test_any_graph_file_gets_a_documented_exit_code(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "detect.txt"
+    path.write_bytes(content)
+    assert run_cli(["count", "-g", str(path), "-k", "4", "--limit", "5"]) in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+
+
 def test_k_inf_spelling(graph_file, capsys):
     assert run_cli(["count", "--graph", graph_file(C4), "-k", "inf"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "13"
@@ -166,7 +195,7 @@ def test_verify_rejects_a_negative_count(capsys):
 # every error path of run_cli: argv, whether the fast edge engine is replaced
 # by one that finds nothing, exit code, stderr prefix; "@name" stands for a
 # file holding ERROR_INPUTS[name] ("@missing" for one that does not exist)
-ERROR_INPUTS = {"k3": K3, "bad": "0 1 oops\n", "loop": "0 0\n"}
+ERROR_INPUTS = {"k3": K3.encode(), "bad": b"0 1 oops\n", "loop": b"0 0\n", "binary": b"\xff\n"}
 ERROR_PATHS = [
     pytest.param(["bench", "--complete", "4", "-k", "4"], True, EXIT_DISCREPANCY,
                  "fast solutions differ from brute force", id="discrepancy"),
@@ -176,6 +205,7 @@ ERROR_PATHS = [
                  "usage error: ", id="flag-combination"),
     pytest.param(["girth", "--graph", "@bad"], False, EXIT_PARSE, "parse error: ", id="parse"),
     pytest.param(["girth", "--graph", "@missing"], False, EXIT_PARSE, "parse error: cannot read", id="unreadable"),
+    pytest.param(["girth", "--graph", "@binary"], False, EXIT_PARSE, "parse error: cannot read", id="not-utf8"),
     pytest.param(["girth", "--graph", "@loop"], False, EXIT_VALIDATION, "invalid input: ", id="validation"),
     pytest.param(["verify", "--random-count", "-1"], False, EXIT_VALIDATION, "invalid input: ", id="negative-count"),
     pytest.param(["bench", "--complete", "30", "-k", "4"], False, EXIT_BUDGET, "budget exceeded: ", id="budget"),
@@ -186,8 +216,8 @@ ERROR_PATHS = [
 def test_each_error_path_exits_with_its_code(argv, fake_engine, code, prefix, tmp_path, monkeypatch, capsys):
     if fake_engine:
         monkeypatch.setattr("girthscope.bench.enumerate_edges_fast", lambda g, k, sink=None, **kwargs: 0)
-    for name, text in ERROR_INPUTS.items():
-        (tmp_path / name).write_text(text)
+    for name, content in ERROR_INPUTS.items():
+        (tmp_path / name).write_bytes(content)
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     assert run_cli(argv) == code
     assert capsys.readouterr().err.startswith(prefix)

@@ -21,6 +21,7 @@ from girthscope import (
     path_graph,
     petersen_graph,
 )
+from girthscope import edges_fast
 from girthscope.edges_fast import (
     advance,
     branch_order,
@@ -31,7 +32,7 @@ from girthscope.edges_fast import (
     update_edge_cand,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_advance_keeps_parent, check_edge_state, select_edge
+from _state_checks import check_advance_keeps_parent, check_edge_state, select_edge, solution_bfs_levels
 
 
 def drive(g, k, edge_ids):
@@ -303,3 +304,45 @@ def test_inner_step_copies_exactly_the_rows_that_change():
 
     enumerate_edges_fast(complete_graph(6), 4, on_state=check)
     assert steps > 0 and copied_total < rows_total
+
+
+def test_only_states_with_a_candidate_build_a_table(monkeypatch):
+    # a leaf's table is never read during the run, so building it is skipped
+    builds = branching = 0
+    real_update, real_advance = edges_fast.update_dist_s, edges_fast.advance
+
+    def counting_update(state, e):
+        nonlocal builds
+        builds += 1
+        return real_update(state, e)
+
+    def counting_advance(state, e, stats=None):
+        nonlocal branching
+        child = real_advance(state, e, stats)
+        if state.solution and (child.inner_cand or child.outer_cand):
+            branching += 1
+        return child
+
+    monkeypatch.setattr(edges_fast, "update_dist_s", counting_update)
+    monkeypatch.setattr(edges_fast, "advance", counting_advance)
+    stats = EdgeRunStats()
+    enumerate_edges_fast(complete_graph(6), 4, stats=stats)
+    assert builds == branching
+    assert builds < stats.iterations
+
+
+def test_leaf_tables_read_after_the_run_match_bfs():
+    for g, k in [(complete_graph(6), 4), (petersen_graph(), 5), (cycle_graph(5), 3)]:
+        leaves = []
+
+        def collect(st):
+            if st.solution and not st.cand:
+                leaves.append(st)
+
+        enumerate_edges_fast(g, k, on_state=collect)
+        assert leaves
+        for st in leaves:
+            for x in st.sol_verts:
+                levels = solution_bfs_levels(g, st.solution, x)
+                for y in st.sol_verts:
+                    assert st.get_dist(x, y) == levels.get(y, INFINITE), f"S={sorted(st.solution)}"
