@@ -91,9 +91,10 @@ def _check_algorithm(args) -> None:
         return
     if getattr(args, "weighted", False):
         raise _UsageError("the fast engines are unweighted; rerun with --algorithm baseline")
-    if args.connectivity == "any":
+    if args.mode == "induced" and args.connectivity == "any":
         raise _UsageError(
-            "the fast engines enumerate connected solutions only; rerun with --algorithm baseline"
+            "the fast induced engine enumerates connected solutions only;"
+            " rerun with --algorithm baseline or --mode edge"
         )
 
 
@@ -108,8 +109,11 @@ def _run_enumeration(args, g: Graph, sink) -> int:
     )
     if args.algorithm == "baseline":
         return enumerate_baseline(g, cfg, sink)
-    runner = enumerate_induced_fast if args.mode == "induced" else enumerate_edges_fast
-    return runner(g, args.k, sink, include_empty=not args.no_empty, limit=args.limit)
+    if args.mode == "induced":
+        return enumerate_induced_fast(g, args.k, sink, include_empty=not args.no_empty, limit=args.limit)
+    return enumerate_edges_fast(
+        g, args.k, sink, connectivity=args.connectivity, include_empty=not args.no_empty, limit=args.limit
+    )
 
 
 def _cmd_girth(args) -> int:
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="vertex count")
     p.add_argument("-k", type=_k_value, required=True)
     p.add_argument("--limit", type=int, default=None, help="cap on explored solutions")
-    p.add_argument("--any", action="store_true", help="allow disconnected witnesses (baseline engine)")
+    p.add_argument("--any", action="store_true", help="allow disconnected witnesses")
     p.add_argument("--reduce-iso", action="store_true", help="keep one witness per isomorphism class")
     p.set_defaults(func=_cmd_extremal)
 

@@ -1,20 +1,30 @@
-"""Fast connected-edge-subgraph enumerator.
+"""Fast edge-subgraph enumerator, connected or not.
 
-Candidate edges are split against the current solution's vertex set into
-inner (both endpoints inside) and outer (exactly one endpoint inside).
-Branching takes all inner candidates before any outer one; together with the
-done-set exclusions this keeps the inner candidate set no larger than the
-solution's vertex count, which is what bounds the per-solution work.
+Candidate edges are split against the current solution S into inner and
+outer ones. In the connected variant an inner candidate has both endpoints in
+V(S) and an outer one exactly one. Branching takes all inner candidates
+before any outer one; together with the done-set exclusions this keeps the
+inner candidate set no larger than the solution's vertex count, which is what
+bounds the per-solution work.
 
 The only table kept is dist[x][y]: shortest-path length between x and y using
 solution edges only. Adding an edge never needs a fresh girth computation:
 every cycle a candidate edge f could close passes through f, so its length
 follows from dist in O(1). An inner edge copies only the rows it shortens.
 
+The non-connected variant (connectivity="any") runs on the same state and
+the same driver with its own transition, advance_any. There every unblocked
+edge outside S is a candidate unless both its endpoints lie in one component
+of S and the cycle it closes is shorter than k. Inner candidates are the ones
+inside one component, outer candidates the rest; only inner ones ever need a
+girth test. Rows of dist hold distances within a component only, and
+branching takes every candidate in ascending id, as the baseline engine does,
+so both engines emit the same stream.
+
 A table is built when its state is, unless the state has no candidate: such a
 leaf never branches, so the engine never reads its table. A leaf keeps its
 parent's table, its parent's vertex set and the edge instead, and builds the
-table through the same update_dist_s step the first time it is read. Every
+table through the same update step the first time it is read. Every
 table the engine reads belongs to a state that branches, so a pending table
 always rests on a built one.
 """
@@ -24,7 +34,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .enum_core import SolutionSink, search, validate_fast_input
+from .enum_core import CONNECTIVITIES, SolutionSink, search, validate_fast_input
+from .errors import ValidationError
 from .graph import Graph, INFINITE, Length
 
 
@@ -54,9 +65,14 @@ class EdgeEnumState:
     that no candidate is incident to. Rows are never changed once built, so a
     child shares the rows an inner step leaves unchanged with its parent.
 
+    In the non-connected variant inner_cand holds the candidates with both
+    endpoints in one component of the solution, outer_cand every other one,
+    and a row of dist holds only the vertices of its own component.
+
     advance builds a leaf (no candidate) with dist None and sets its pending
-    slot to the parent's table, the parent's sol_verts and the added edge;
-    the dist property builds the table from them on first read.
+    slot to the table update of its variant, the parent's table, the parent's
+    sol_verts and the added edge; the dist property builds the table from
+    them on first read.
     """
 
     __slots__ = (
@@ -81,10 +97,10 @@ class EdgeEnumState:
         """Within-solution distance table, built on first read for a leaf."""
         table = self._dist
         if table is None:
-            parent_dist, parent_sol_verts, e = self._pending
-            # the parent as update_dist_s reads it: graph, vertex set and table
+            update, parent_dist, parent_sol_verts, e = self._pending
+            # the parent as the table update reads it: graph, vertex set and table
             parent = EdgeEnumState(self.g, self.k, None, parent_sol_verts, None, None, None, None, parent_dist)
-            table = self._dist = update_dist_s(parent, e)
+            table = self._dist = update(parent, e)
             self._pending = None
         return table
 
@@ -266,7 +282,7 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
         dist,
     )
     if dist is None:
-        child._pending = (state.dist, state.sol_verts, e)
+        child._pending = (update_dist_s, state.dist, state.sol_verts, e)
     return child
 
 
@@ -286,30 +302,132 @@ def branch_order(state: EdgeEnumState) -> list[int]:
     return sorted(state.inner_cand) + sorted(state.outer_cand)
 
 
+def _hang(new: dict, old: dict, near: dict[int, Length], far: dict[int, Length]) -> None:
+    """Copy the rows of near's component into new, each gaining every vertex of far's.
+
+    near and far are the rows of the two endpoints of a joining edge, so
+    near[x] + 1 + far[y] is the length of the only x-y path, the one through
+    that edge. A vertex without a row in old is fresh: its row starts as {x: 0}.
+    """
+    for x, dx in near.items():
+        row = new[x] = dict(old[x]) if x in old else {x: 0}
+        dx += 1
+        for y, dy in far.items():
+            row[y] = dx + dy
+
+
+def update_dist_any(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
+    """Within-component distance table after adding e in the non-connected variant.
+
+    An edge inside one component is update_dist_s's inner step, which reads
+    only that component's rows. Any other edge {u, v} joins u's component
+    with v's: an edge to a fresh vertex hangs it off its component, an edge
+    between two fresh vertices starts a component, and in every case each
+    cross pair x, y gets d[x][u] + 1 + d[v][y]. Rows of other components are
+    shared with the parent.
+    """
+    old = state.dist
+    u, v = state.g.endpoints(e)
+    du = old.get(u)
+    if du is not None and v in du:
+        return update_dist_s(state, e)
+    dv = old.get(v) or {v: 0}
+    du = du or {u: 0}
+    new = dict(old)
+    _hang(new, old, du, dv)
+    _hang(new, old, dv, du)
+    return new
+
+
+def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
+    """Child state for S + {e} in the non-connected variant; the parent is left untouched.
+
+    Only a candidate whose pair distance can drop is tested again, in O(1):
+    after an inner e, the inner candidates of e's component, by
+    pair_girth_ok; after a joining e, the outer candidates running between
+    the two components it joins, found from the adjacency of the smaller one.
+    Those become inner if the cycle they would close, d[x][u] + 2 + d[v][y],
+    is long enough. Every other candidate keeps its class. A child with no
+    candidate is a leaf and gets its table only when it is read.
+    """
+    g = state.g
+    k = state.k
+    edges = g.edges
+    d = state.dist
+    u, v = edges[e][0], edges[e][1]
+    du = d.get(u)
+    outer = set(state.outer_cand)
+    sol_verts = state.sol_verts
+    if du is not None and v in du:
+        inner = {
+            f for f in state.inner_cand if f != e and (edges[f][0] not in du or pair_girth_ok(state, e, f))
+        }
+        if stats is not None:
+            stats.inner_picks += 1
+            stats.pair_checks += len(state.inner_cand)
+    else:
+        inner = set(state.inner_cand)
+        outer.discard(e)
+        du = du or {u: 0}
+        dv = d.get(v) or {v: 0}
+        near, far = (du, dv) if len(du) <= len(dv) else (dv, du)
+        adj = g.adj
+        for x, dx in near.items():
+            for y, f in adj[x]:
+                if y in far and f in outer:
+                    outer.discard(f)
+                    if dx + 2 + far[y] >= k:
+                        inner.add(f)
+        if stats is not None:
+            stats.outer_picks += 1
+            stats.pair_checks += sum(len(adj[x]) for x in near)
+        if u not in sol_verts or v not in sol_verts:
+            sol_verts = sol_verts | {u, v}
+    dist = update_dist_any(state, e) if inner or outer else None
+    child = EdgeEnumState(
+        g, k, state.solution | {e}, sol_verts, inner, outer, state.root_blocked, set(state.local_blocked), dist
+    )
+    if dist is None:
+        child._pending = (update_dist_any, d, state.sol_verts, e)
+    return child
+
+
+def branch_order_any(state: EdgeEnumState) -> list[int]:
+    """Edges to branch on in the non-connected variant: every candidate in ascending id."""
+    return sorted(state.inner_cand | state.outer_cand)
+
+
 def enumerate_edges_fast(
     g: Graph,
     k: Length,
     sink: SolutionSink | None = None,
     *,
+    connectivity: str = "connected",
     include_empty: bool = True,
     limit: int | None = None,
     on_state: Callable[[EdgeEnumState], object] | None = None,
     prune: Callable[[EdgeEnumState], bool] | None = None,
     stats: EdgeRunStats | None = None,
 ) -> int:
-    """Enumerate all connected subgraphs (edge subsets) with girth >= k, each once.
+    """Enumerate all subgraphs (edge subsets) with girth >= k, each once.
 
-    Same solution set as the baseline engine in connected edge mode. The root
-    branches on every single edge in ascending id order; below that, inner
-    candidates are taken before outer ones. `prune` may cut a subtree after
-    its root solution was emitted (used by the extremal search). Returns the
-    number of solutions emitted.
+    With connectivity="connected", the default, only connected subgraphs
+    count: same solution set as the baseline engine in connected edge mode.
+    The root branches on every single edge in ascending id order; below that,
+    inner candidates are taken before outer ones. With connectivity="any"
+    every subgraph of girth >= k counts, and every state branches in
+    ascending id, so the stream equals the baseline engine's. `prune` may cut
+    a subtree after its root solution was emitted (used by the extremal
+    search). Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
+    if connectivity not in CONNECTIVITIES:
+        raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
+    any_mode = connectivity == "any"
     return search(
         initial_state(g, k),
-        branch_order,
-        advance,
+        branch_order_any if any_mode else branch_order,
+        advance_any if any_mode else advance,
         exclude_candidate,
         sink,
         include_empty=include_empty,

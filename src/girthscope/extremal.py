@@ -2,8 +2,7 @@
 
 The search runs the fast edge enumerator over a complete graph, pruning
 subtrees that cannot reach the best edge count seen so far; with
-connected_only=False it runs the baseline engine in the non-connected
-variant instead.
+connected_only=False it runs the same engine in the non-connected variant.
 """
 
 from __future__ import annotations
@@ -12,7 +11,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .edges_fast import EdgeEnumState, enumerate_edges_fast
-from .enum_core import BaselineState, EnumConfig, enumerate_baseline, validate_threshold
+# perfbench/harness.py times the searches by replacing the engine names of
+# this module, enumerate_baseline included, though no search here runs it
+from .enum_core import enumerate_baseline, validate_threshold  # noqa: F401
 from .errors import ValidationError
 from .graph import Graph, INFINITE, Length, complete_graph
 
@@ -65,35 +66,32 @@ def densest_girth_graphs(
             witnesses.append(solution)
 
     if connected_only:
+        edges = g.edges
+
         def prune(state: EdgeEnumState) -> bool:
             # Optimistic reachable size: current solution, live candidates, and
             # edges not yet touching the solution (an outer step can still turn
             # those into candidates; edges that touched and dropped out are
             # dead for good, since girth only decreases along a branch).
-            # An edge touching no solution vertex is outside the solution, so
-            # both exclusion parts are read directly, without the union.
-            reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
+            # A local mark was a candidate of an ancestor, so it touches the
+            # solution; the untouched unblocked edges are then the pairs of
+            # fresh vertices minus the root marks among them.
             sol_verts = state.sol_verts
-            root_blocked = state.root_blocked
-            local_blocked = state.local_blocked
-            for eid, (u, v, _) in enumerate(g.edges):
-                if (
-                    u not in sol_verts
-                    and v not in sol_verts
-                    and eid not in root_blocked
-                    and eid not in local_blocked
-                ):
-                    reachable += 1
+            fresh = n - len(sol_verts)
+            reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
+            for eid in state.root_blocked:
+                u, v, _ = edges[eid]
+                if u not in sol_verts and v not in sol_verts:
+                    reachable -= 1
             return reachable < best_size
 
-        explored = enumerate_edges_fast(g, k, sink, limit=limit, prune=prune)
+        explored = enumerate_edges_fast(g, k, sink=sink, limit=limit, prune=prune)
     else:
-        cfg = EnumConfig(k=k, mode="edge", connectivity="any", limit=limit)
+        def prune_any(state: EdgeEnumState) -> bool:
+            # every edge that can still join is already a candidate
+            return len(state.solution) + len(state.inner_cand) + len(state.outer_cand) < best_size
 
-        def prune_any(state: BaselineState) -> bool:
-            return len(state.solution) + len(state.cands) < best_size
-
-        explored = enumerate_baseline(g, cfg, sink, prune=prune_any)
+        explored = enumerate_edges_fast(g, k, sink=sink, connectivity="any", limit=limit, prune=prune_any)
 
     pair_witnesses = [tuple(g.endpoints(e) for e in sorted(w)) for w in witnesses]
     pair_witnesses.sort()

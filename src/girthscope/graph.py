@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 
-from .errors import ParseError, ValidationError
+from .errors import BudgetExceededError, ParseError, ValidationError
 
 #: Sentinel for the length of a nonexistent path / the girth of an acyclic
 #: graph. math.inf saturates under addition and sorts above every int, which
@@ -177,10 +177,18 @@ def parse_edge_list(text: str, weighted: bool = False) -> Graph:
     return _graph_from_lines(len(ids), numbered, weighted)
 
 
+#: Most vertices a DIMACS problem line may declare. A Graph costs about 340
+#: bytes per vertex, isolated or not, so a 19-byte header could otherwise ask
+#: for gigabytes before any edge line is read.
+DIMACS_MAX_VERTICES = 100_000
+
+
 def parse_dimacs(text: str, weighted: bool = False) -> Graph:
     """Parse a DIMACS graph ("p edge n m" header, "e u v [w]" lines, 1-based ids).
 
     Validation matches parse_edge_list; the declared edge count must match.
+    A problem line declaring more than DIMACS_MAX_VERTICES vertices raises
+    BudgetExceededError before anything is allocated for them.
     """
     n = None
     declared_m = None
@@ -199,6 +207,10 @@ def parse_dimacs(text: str, weighted: bool = False) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer vertex/edge count", lineno) from None
+            if n > DIMACS_MAX_VERTICES:
+                raise BudgetExceededError(
+                    f"line {lineno}: problem line declares {n} vertices, over the budget of {DIMACS_MAX_VERTICES}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", lineno)

@@ -89,8 +89,9 @@ def run_verification(
     Corpus: every connected graph on <= 5 vertices plus `random_count` random
     graphs with n <= max_n. For each graph and threshold, the baseline engine
     is checked against the brute-force filter in all four mode/connectivity
-    combinations, and the fast engines against both on the connected modes
-    (edge mode restricted to graphs with m <= max_m).
+    combinations, and the fast engines against it in every combination they
+    run: both connected modes and edge mode without connectivity (edge mode
+    restricted to graphs with m <= max_m).
     """
     if random_count < 0:
         raise ValidationError("random_count must be >= 0")
@@ -115,12 +116,13 @@ def run_verification(
                     sink = Collector()
                     enumerate_baseline(g, cfg, sink)
                     check(f"{tag} k={k} {mode}/{connectivity} baseline", sink.solutions, expected)
-                    if connectivity == "connected":
-                        fast = Collector()
-                        if mode == "induced":
-                            enumerate_induced_fast(g, k, fast)
-                        else:
-                            enumerate_edges_fast(g, k, fast)
-                        check(f"{tag} k={k} {mode}/{connectivity} fast", fast.solutions, expected)
+                    if mode == "induced" and connectivity == "any":
+                        continue  # the fast induced engine is connected-only
+                    fast = Collector()
+                    if mode == "induced":
+                        enumerate_induced_fast(g, k, fast)
+                    else:
+                        enumerate_edges_fast(g, k, fast, connectivity=connectivity)
+                    check(f"{tag} k={k} {mode}/{connectivity} fast", fast.solutions, expected)
     say(f"verified {len(corpus)} graphs x {len(thresholds)} thresholds; {len(failures)} failure(s)")
     return failures

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from girthscope import INFINITE, pair_distance, second_distance
+from girthscope import pair_distance, second_distance
 from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive
 from girthscope.induced_fast import _split_old_candidates
 
@@ -101,28 +101,35 @@ def solution_bfs_levels(g, edge_ids, source):
     return levels
 
 
-def check_edge_state(g, k, state):
-    for x in state.sol_verts:
-        levels = solution_bfs_levels(g, state.solution, x)
-        for y in state.sol_verts:
-            expected = levels.get(y, INFINITE)
-            assert state.get_dist(x, y) == expected, (
-                f"dist[{x}][{y}] = {state.get_dist(x, y)} != {expected} at S={sorted(state.solution)}"
-            )
+def check_edge_state(g, k, state, connectivity="connected"):
+    """Distance rows equal a BFS within each component; candidates equal the naive ones.
+
+    A candidate is inner when both its endpoints lie in one component of the
+    solution (in the connected variant: both in V(S)), outer otherwise.
+    """
+    bfs = {x: solution_bfs_levels(g, state.solution, x) for x in state.sol_verts}
+    assert set(state.dist) == state.sol_verts
+    for x, levels in bfs.items():
+        assert state.dist[x] == levels, f"row {x} = {state.dist[x]} != BFS {levels} at S={sorted(state.solution)}"
     naive = candidate_set_naive(
         g,
         BaselineState(set(state.solution), set(state.blocked)),
-        EnumConfig(k=k, mode="edge"),
+        EnumConfig(k=k, mode="edge", connectivity=connectivity),
     )
-    inner = {e for e in naive if all(p in state.sol_verts for p in g.endpoints(e))}
+    inner = set()
+    for e in naive:
+        x, y = g.endpoints(e)
+        if y in bfs.get(x, ()):
+            inner.add(e)
     assert state.inner_cand == inner, (
         f"inner {sorted(state.inner_cand)} != {sorted(inner)} at S={sorted(state.solution)}"
     )
     assert state.outer_cand == naive - inner, (
         f"outer {sorted(state.outer_cand)} != {sorted(naive - inner)} at S={sorted(state.solution)}"
     )
-    assert len(state.inner_cand) <= len(state.sol_verts)
-    assert attachment(state) <= state.sol_verts
+    if connectivity == "connected":
+        assert len(state.inner_cand) <= len(state.sol_verts)
+        assert attachment(state) <= state.sol_verts
 
 
 def check_advance_keeps_parent(state, advance, exclude, order):

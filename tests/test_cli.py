@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthscope import ValidationError, run_verification
+from girthscope import ValidationError, petersen_graph, run_verification, to_edge_list
 from girthscope.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
@@ -106,6 +106,42 @@ def test_fast_flag_combinations_rejected(graph_file, capsys):
     assert run_cli(["count", "--graph", src2, "-k", "3", "--connectivity", "any"]) == EXIT_USAGE
 
 
+def test_fast_weighted_rejection_says_why(graph_file, capsys):
+    src = graph_file("0 1 2\n1 2 1\n", name="w.txt")
+    assert run_cli(["count", "--graph", src, "-k", "3", "--mode", "edge", "--weighted"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unweighted" in err and "--algorithm baseline" in err
+
+
+def test_fast_induced_any_rejection_says_why(graph_file, capsys):
+    argv = ["count", "--graph", graph_file(K3), "-k", "3", "--mode", "induced", "--connectivity", "any"]
+    assert run_cli(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "induced" in err and "connected solutions only" in err and "--algorithm baseline" in err
+
+
+@pytest.mark.parametrize("k", ["5", "6"])
+def test_fast_edge_any_count_equals_baseline(graph_file, capsys, k):
+    src = graph_file(to_edge_list(petersen_graph()))
+    argv = ["count", "--graph", src, "-k", k, "--mode", "edge", "--connectivity", "any"]
+    assert run_cli(argv) == EXIT_OK
+    fast = capsys.readouterr().out
+    assert run_cli(argv + ["--algorithm", "baseline"]) == EXIT_OK
+    assert fast == capsys.readouterr().out
+    if k == "5":
+        assert int(fast) == 2**15  # Petersen has girth 5: every edge subset counts
+
+
+def test_fast_edge_any_enum_streams_like_baseline(graph_file, capsys):
+    src = graph_file(C5 + "0 2\n5 6\n")
+    argv = ["enum", "--graph", src, "-k", "4", "--mode", "edge", "--connectivity", "any", "--endpoints"]
+    assert run_cli(argv) == EXIT_OK
+    fast = capsys.readouterr().out
+    assert run_cli(argv + ["--algorithm", "baseline"]) == EXIT_OK
+    assert fast == capsys.readouterr().out
+    assert "0-1 1-2 5-6" in fast.splitlines()  # disconnected solutions are streamed
+
+
 def test_parse_error_exit_code(graph_file, capsys):
     assert run_cli(["girth", "--graph", graph_file("0 1 oops\n")]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err
@@ -195,7 +231,13 @@ def test_verify_rejects_a_negative_count(capsys):
 # every error path of run_cli: argv, whether the fast edge engine is replaced
 # by one that finds nothing, exit code, stderr prefix; "@name" stands for a
 # file holding ERROR_INPUTS[name] ("@missing" for one that does not exist)
-ERROR_INPUTS = {"k3": K3.encode(), "bad": b"0 1 oops\n", "loop": b"0 0\n", "binary": b"\xff\n"}
+ERROR_INPUTS = {
+    "k3": K3.encode(),
+    "bad": b"0 1 oops\n",
+    "loop": b"0 0\n",
+    "binary": b"\xff\n",
+    "huge": b"p edge 100000000 0\n",
+}
 ERROR_PATHS = [
     pytest.param(["bench", "--complete", "4", "-k", "4"], True, EXIT_DISCREPANCY,
                  "fast solutions differ from brute force", id="discrepancy"),
@@ -209,6 +251,7 @@ ERROR_PATHS = [
     pytest.param(["girth", "--graph", "@loop"], False, EXIT_VALIDATION, "invalid input: ", id="validation"),
     pytest.param(["verify", "--random-count", "-1"], False, EXIT_VALIDATION, "invalid input: ", id="negative-count"),
     pytest.param(["bench", "--complete", "30", "-k", "4"], False, EXIT_BUDGET, "budget exceeded: ", id="budget"),
+    pytest.param(["girth", "--graph", "@huge"], False, EXIT_BUDGET, "budget exceeded: ", id="dimacs-vertex-budget"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Property-based differential tests: fast = baseline = brute force on random graphs.
 
 Each example draws a random simple graph and a girth threshold, runs every
-engine that covers the mode, compares the solution sets, and checks every
-live state of the fast engine against its from-scratch oracle. Examples are
+engine that covers the mode (edge mode with and without connectivity),
+compares the solution sets, and checks every live state of the fast engine
+against its from-scratch oracle. Examples are
 derandomized and no example database is written, so runs are reproducible.
 """
 
@@ -62,3 +63,15 @@ def test_edge_engines_agree(g, k):
     assert len(set(fast)) == len(fast)
     assert set(fast) == set(base) == set(brute_force_enumerate(g, cfg))
     assert solutions(enumerate_edges_fast, g, k) == fast  # repeated runs give the same stream
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(simple_graphs(max_m=EDGE_MODE_MAX_M), THRESHOLDS)
+def test_edge_engines_agree_without_connectivity(g, k):
+    cfg = EnumConfig(k=k, mode="edge", connectivity="any")
+    fast = solutions(
+        enumerate_edges_fast, g, k, connectivity="any", on_state=lambda state: check_edge_state(g, k, state, "any")
+    )
+    assert len(set(fast)) == len(fast)
+    assert fast == solutions(enumerate_baseline, g, cfg)  # both branch in ascending id order
+    assert set(fast) == set(brute_force_enumerate(g, cfg))

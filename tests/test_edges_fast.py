@@ -24,7 +24,9 @@ from girthscope import (
 from girthscope import edges_fast
 from girthscope.edges_fast import (
     advance,
+    advance_any,
     branch_order,
+    branch_order_any,
     exclude_candidate,
     pair_girth_ok,
     seed_state,
@@ -346,3 +348,100 @@ def test_leaf_tables_read_after_the_run_match_bfs():
                 levels = solution_bfs_levels(g, st.solution, x)
                 for y in st.sol_verts:
                     assert st.get_dist(x, y) == levels.get(y, INFINITE), f"S={sorted(st.solution)}"
+
+
+# --- the non-connected variant ----------------------------------------------
+
+def test_any_variant_examples():
+    assert enumerate_edges_fast(path_graph(3), 3, connectivity="any") == 4
+    assert enumerate_edges_fast(complete_graph(3), 4, connectivity="any") == 7
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert enumerate_edges_fast(two_edges, 3, connectivity="connected") == 3
+    assert enumerate_edges_fast(two_edges, 3, connectivity="any") == 4
+    with pytest.raises(ValidationError, match="connectivity"):
+        enumerate_edges_fast(two_edges, 3, connectivity="some")
+
+
+def test_any_variant_join_writes_cross_distances():
+    # two paths 0-1-2 and 3-4-5 joined by the edge (2, 3): a 5-path
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (0, 5)])
+    seen = {}
+
+    def look(st):
+        # candidate sets shrink as siblings are branched on, so copy them now
+        seen[frozenset(st.solution)] = (st.dist, set(st.inner_cand), set(st.outer_cand))
+
+    enumerate_edges_fast(g, 7, connectivity="any", on_state=look)
+    dist, inner, outer = seen[frozenset({0, 1, 2, 3})]
+    assert dist[0] == {0: 0, 1: 1, 2: 2} and dist[5] == {3: 2, 4: 1, 5: 0}
+    assert inner == set() and outer == {4, 5}
+    dist, inner, outer = seen[frozenset({0, 1, 2, 3, 4})]
+    assert dist[0][5] == 5 and dist[1][4] == 3 and dist[2] == {0: 2, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
+    assert inner == outer == set()  # (0, 5) would close a 6-cycle, shorter than 7
+    assert frozenset({0, 1, 2, 3, 4, 5}) not in seen
+
+
+def test_any_variant_stats():
+    stats = EdgeRunStats()
+    count = enumerate_edges_fast(complete_graph(5), 4, connectivity="any", stats=stats)
+    assert stats.iterations == count
+    assert stats.inner_picks > 0 and stats.outer_picks > 0 and stats.pair_checks > 0
+
+
+def test_any_variant_state_fidelity_on_dense_graphs():
+    # two disjoint K4s with interleaved edge ids: an inner step in one
+    # component leaves the other's inner candidates alone
+    two_k4 = Graph(8, [(u + s, v + s) for u in range(4) for v in range(u + 1, 4) for s in (0, 4)])
+    cases = [(complete_graph(5), 3), (complete_graph(5), 4), (complete_graph(5), 5), (petersen_graph(), 6)]
+    for g, k in cases + [(two_k4, 3), (two_k4, 4)]:
+        enumerate_edges_fast(
+            g, k, connectivity="any", limit=3000, on_state=lambda st: check_edge_state(g, k, st, "any")
+        )
+
+
+def test_any_variant_advance_leaves_the_parent_untouched():
+    for g, k in [(complete_graph(5), 4), (complete_graph(5), 3), (Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)]), 3)]:
+        enumerate_edges_fast(
+            g,
+            k,
+            connectivity="any",
+            on_state=lambda st: check_advance_keeps_parent(st, advance_any, exclude_candidate, branch_order_any),
+        )
+
+
+def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
+    builds = branching = 0
+    real_update, real_advance = edges_fast.update_dist_any, edges_fast.advance_any
+
+    def counting_update(state, e):
+        nonlocal builds
+        builds += 1
+        return real_update(state, e)
+
+    def counting_advance(state, e, stats=None):
+        nonlocal branching
+        child = real_advance(state, e, stats)
+        if child.inner_cand or child.outer_cand:
+            branching += 1
+        return child
+
+    monkeypatch.setattr(edges_fast, "update_dist_any", counting_update)
+    monkeypatch.setattr(edges_fast, "advance_any", counting_advance)
+    stats = EdgeRunStats()
+    enumerate_edges_fast(complete_graph(5), 4, connectivity="any", stats=stats)
+    assert builds == branching
+    assert builds < stats.iterations
+
+
+def test_any_variant_leaf_tables_read_after_the_run_match_bfs():
+    for g, k in [(complete_graph(5), 4), (petersen_graph(), 7)]:
+        leaves = []
+
+        def collect(st):
+            if st.solution and not st.cand:
+                leaves.append(st)
+
+        enumerate_edges_fast(g, k, connectivity="any", on_state=collect, limit=20000)
+        assert leaves
+        for st in leaves:
+            check_edge_state(g, k, st, "any")

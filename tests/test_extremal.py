@@ -138,6 +138,44 @@ def test_densest_non_connected_variant():
     assert not got.connected_only
 
 
+def baseline_any_search(n, k):
+    """The non-connected search as it ran on the baseline engine: (max_edges, explored, witnesses)."""
+    g = complete_graph(n)
+    best, witnesses = -1, []
+
+    def sink(sol, ordinal):
+        nonlocal best, witnesses
+        if len(sol) > best:
+            best, witnesses = len(sol), [sol]
+        elif len(sol) == best:
+            witnesses.append(sol)
+
+    def prune_any(state):
+        return len(state.solution) + len(state.cands) < best
+
+    explored = enumerate_baseline(g, EnumConfig(k=k, mode="edge", connectivity="any"), sink, prune=prune_any)
+    return best, explored, sorted(tuple(g.endpoints(e) for e in sorted(w)) for w in witnesses)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_non_connected_search_explores_the_baseline_tree(n, k):
+    got = densest_girth_graphs(n, k, connected_only=False)
+    assert (got.max_edges, got.explored, got.witnesses) == baseline_any_search(n, k)
+
+
+# densest n-vertex graphs, n = 1..7: triangle-free ones have floor(n^2/4)
+# edges (Mantel); girth >= 5 ones follow OEIS A006856
+MANTEL = [n * n // 4 for n in range(1, 8)]
+A006856 = [0, 1, 2, 3, 5, 6, 8]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_non_connected_maxima_match_known_values(n):
+    assert densest_girth_graphs(n, 4, connected_only=False).max_edges == MANTEL[n - 1]
+    assert densest_girth_graphs(n, 5, connected_only=False).max_edges == A006856[n - 1]
+
+
 def test_densest_budget_flags_incomplete():
     result = densest_girth_graphs(6, 4, limit=50)
     assert not result.complete
