@@ -36,7 +36,6 @@ from .graph import (
     INFINITE,
     Length,
     VertexSet,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edge_subgraph,
@@ -77,7 +76,6 @@ __all__ = [
     "bench_compare",
     "brute_force_enumerate",
     "candidate_set_naive",
-    "complete_bipartite_graph",
     "complete_graph",
     "cycle_graph",
     "densest_girth_graphs",

@@ -10,7 +10,11 @@ bounds the per-solution work.
 The only table kept is dist[x][y]: shortest-path length between x and y using
 solution edges only. Adding an edge never needs a fresh girth computation:
 every cycle a candidate edge f could close passes through f, so its length
-follows from dist in O(1). An inner edge copies only the rows it shortens.
+follows from dist in O(1). One table step, update_dist_s, serves both
+variants and every kind of edge: an inner edge copies only the rows it
+shortens, an edge to a fresh vertex hangs it off its component, and an edge
+between two components joins them. The root is an ordinary state with no
+vertices, so a single-edge state is built by the same step as any other.
 
 The non-connected variant (connectivity="any") runs on the same state and
 the same driver with its own transition, advance_any. There every unblocked
@@ -23,10 +27,10 @@ so both engines emit the same stream.
 
 A table is built when its state is, unless the state has no candidate: such a
 leaf never branches, so the engine never reads its table. A leaf keeps its
-parent's table, its parent's vertex set and the edge instead, and builds the
-table through the same update step the first time it is read. Every
-table the engine reads belongs to a state that branches, so a pending table
-always rests on a built one.
+parent's table and the edge instead, and builds the table through
+update_dist_s the first time it is read. Every table the engine reads
+belongs to a state that branches, so a pending table always rests on a
+built one.
 """
 
 from __future__ import annotations
@@ -63,16 +67,17 @@ class EdgeEnumState:
     dist covers all vertices of the current solution subgraph (sol_verts), not
     just those touching a candidate; a shortest path may run through vertices
     that no candidate is incident to. Rows are never changed once built, so a
-    child shares the rows an inner step leaves unchanged with its parent.
+    child shares with its parent every row its step leaves unchanged. Every
+    state below the empty root, single-edge ones included, gets its table
+    from the one table step update_dist_s.
 
     In the non-connected variant inner_cand holds the candidates with both
     endpoints in one component of the solution, outer_cand every other one,
     and a row of dist holds only the vertices of its own component.
 
     advance builds a leaf (no candidate) with dist None and sets its pending
-    slot to the table update of its variant, the parent's table, the parent's
-    sol_verts and the added edge; the dist property builds the table from
-    them on first read.
+    slot to the parent's table and the added edge; the dist property builds
+    the table from them through update_dist_s on first read.
     """
 
     __slots__ = (
@@ -97,10 +102,10 @@ class EdgeEnumState:
         """Within-solution distance table, built on first read for a leaf."""
         table = self._dist
         if table is None:
-            update, parent_dist, parent_sol_verts, e = self._pending
-            # the parent as the table update reads it: graph, vertex set and table
-            parent = EdgeEnumState(self.g, self.k, None, parent_sol_verts, None, None, None, None, parent_dist)
-            table = self._dist = update(parent, e)
+            parent_dist, e = self._pending
+            # the parent as update_dist_s reads it: graph and table
+            parent = EdgeEnumState(self.g, self.k, None, None, None, None, None, None, parent_dist)
+            table = self._dist = update_dist_s(parent, e)
             self._pending = None
         return table
 
@@ -108,9 +113,9 @@ class EdgeEnumState:
     def blocked(self) -> set[int]:
         """Done-excluded edges, as a fresh set (O(m); the engine itself never builds it).
 
-        The driver marks a root edge only after seeding its state, and that
-        edge is in every solution of the seeded subtree, so subtracting the
-        solution leaves exactly the marks the seed saw.
+        The driver marks a root edge only after advancing the root on it, and
+        that edge is in every solution of the subtree below, so subtracting
+        the solution leaves exactly the marks the root child saw.
         """
         return (self.root_blocked - self.solution) | self.local_blocked
 
@@ -130,68 +135,46 @@ def initial_state(g: Graph, k: Length) -> EdgeEnumState:
     return EdgeEnumState(g, k, frozenset(), set(), set(), set(range(g.m)), set(), set(), {})
 
 
-def seed_state(g: Graph, k: Length, eid: int, blocked: set[int]) -> EdgeEnumState:
-    """State for the single-edge solution {eid}.
-
-    Every non-blocked edge sharing an endpoint is a candidate (two edges never
-    close a cycle) and is outer, since a simple graph has no second edge on
-    the same endpoint pair. `blocked` is kept by reference as the shared
-    root part of the exclusion marks, so the caller may keep adding to it.
-    """
-    u, v = g.endpoints(eid)
-    outer = set()
-    for x in (u, v):
-        for _, fid in g.adj[x]:
-            if fid != eid and fid not in blocked:
-                outer.add(fid)
-    dist = {u: {u: 0, v: 1}, v: {u: 1, v: 0}}
-    return EdgeEnumState(g, k, frozenset((eid,)), {u, v}, set(), outer, blocked, set(), dist)
-
-
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
-    """Does adding both e (the chosen edge) and f (a candidate) keep girth >= k?
+    """Does adding both the inner edge e = {u, v} and the candidate f = {x, y} keep girth >= k?
 
     Evaluated in O(1): cycles not through f are already certified because e is
     a valid candidate, and the shortest cycle through f follows from the
-    within-solution distances. For an inner e = {u, v} and f = {x, y} that is
-    1 + min(d[x][y], d[x][u]+1+d[v][y], d[x][v]+1+d[u][y]); for an outer e
-    attaching new vertex v and f = {v, w} the cycle must run through both
-    edges, giving 2 + d[u][w].
+    within-solution distances: 1 + min(d[x][y], d[x][u]+1+d[v][y], d[x][v]+1+d[u][y]).
     """
     g = state.g
     d = state.dist
     u, v = g.endpoints(e)
     x, y = g.endpoints(f)
-    if u in state.sol_verts and v in state.sol_verts:
-        dx = d[x]
-        dy = d[y]
-        shortest = min(dx[y], dx[u] + 1 + dy[v], dx[v] + 1 + dy[u])
-        return 1 + shortest >= state.k
-    if u not in state.sol_verts:
-        u, v = v, u
-    w = x if y == v else y
-    return 2 + d[u][w] >= state.k
+    dx = d[x]
+    dy = d[y]
+    return 1 + min(dx[y], dx[u] + 1 + dy[v], dx[v] + 1 + dy[u]) >= state.k
 
 
 def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
-    """Within-solution distance table after adding edge e; unchanged rows are shared.
+    """Within-component distance table after adding edge e = {u, v}; unchanged rows are shared.
 
-    Inner edge {u, v}: a simple path uses it at most once, so d[x][y] can
-    only drop to d[x][u] + 1 + d[v][y], and only when x is at least 2 closer
-    to u than to v and y at least 2 closer to v than to u. Only the rows of
-    those x and y are copied and relaxed, in both orientations; each of them
-    changes, at column v or u. Outer edge: the new vertex hangs off u, so
-    every row gains a column at d[x][u] + 1.
+    The parent's rows alone decide the step:
+    - u and v in one component (inner edge): a simple path uses e at most
+      once, so d[x][y] can only drop to d[x][u] + 1 + d[v][y], and only when
+      x is at least 2 closer to u than to v and y at least 2 closer to v than
+      to u. Only the rows of those x and y are copied and relaxed, in both
+      orientations; each of them changes, at column v or u.
+    - neither endpoint has a row: e starts a component of its own.
+    - one endpoint is fresh: it hangs off the other's component, so each row
+      there gains one column at d[x][u] + 1. In the connected variant that
+      component is the whole table.
+    - otherwise e joins two components, and each cross pair x, y gets
+      d[x][u] + 1 + d[v][y].
     """
-    g = state.g
     old = state.dist
-    u, v = g.endpoints(e)
-    if u in state.sol_verts and v in state.sol_verts:
-        du = old[u]
-        dv = old[v]
+    u, v = state.g.endpoints(e)
+    du = old.get(u)
+    dv = old.get(v)
+    new = dict(old)
+    if du is not None and v in du:
         near_u = [x for x, dxu in du.items() if dv[x] - dxu >= 2]
         near_v = [y for y, dyv in dv.items() if du[y] - dyv >= 2]
-        new = dict(old)
         for x in near_u + near_v:
             new[x] = dict(old[x])
         for x in near_u:
@@ -203,17 +186,24 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
                     rowx[y] = alt
                     new[y][x] = alt
         return new
-    if u not in state.sol_verts:
-        u, v = v, u
-    new = {}
-    vrow: dict[int, Length] = {v: 0}
-    for x, rowx in old.items():
-        nrow = dict(rowx)
-        d = rowx[u] + 1
-        nrow[v] = d
-        vrow[x] = d
-        new[x] = nrow
-    new[v] = vrow
+    if du is None:
+        if dv is None:
+            new[u] = {u: 0, v: 1}
+            new[v] = {v: 0, u: 1}
+            return new
+        v, du = u, dv
+    elif dv is not None:
+        for near, far in ((du, dv), (dv, du)):
+            for x, dx in near.items():
+                row = new[x] = dict(old[x])
+                dx += 1
+                for y, dy in far.items():
+                    row[y] = dx + dy
+        return new
+    vrow = new[v] = {v: 0}
+    for x, dx in du.items():
+        row = new[x] = dict(old[x])
+        row[v] = vrow[x] = dx + 1
     return new
 
 
@@ -222,29 +212,37 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
 
     Inner e: outer candidates stay valid untouched (their loose endpoint still
     has degree one, so they close no cycle) and the remaining inner ones are
-    re-validated in O(1) each. Outer e with new endpoint v: old candidates
-    survive as they are, and every non-excluded edge at v is classified; edges
-    back into the solution become inner if their cycle is long enough, edges
-    to fresh vertices become outer.
+    re-validated in O(1) each by pair_girth_ok. Outer e = {u, v} with new
+    endpoint v: old candidates survive as they are, and every non-excluded
+    edge at v is classified; an edge {v, w} back into the solution closes a
+    cycle of length d[u][w] + 2 and becomes inner if that is long enough, an
+    edge to a fresh vertex becomes outer. From the empty root both endpoints
+    are new and the outer set starts empty.
     """
     g = state.g
     u, v = g.endpoints(e)
-    if u in state.sol_verts and v in state.sol_verts:
+    sol_verts = state.sol_verts
+    if u in sol_verts and v in sol_verts:
         inner = {f for f in state.inner_cand if f != e and pair_girth_ok(state, e, f)}
         return inner, set(state.outer_cand)
-    if u not in state.sol_verts:
+    if u not in sol_verts:
         u, v = v, u
-    inner = set(state.inner_cand)
-    outer = set(state.outer_cand)
-    outer.discard(e)
+    if u in sol_verts:
+        inner = set(state.inner_cand)
+        outer = set(state.outer_cand)
+        outer.discard(e)
+        fresh_edges = g.adj[v]
+    else:
+        inner, outer = set(), set()
+        fresh_edges = g.adj[u] + g.adj[v]
     root_blocked = state.root_blocked
     local_blocked = state.local_blocked
-    for w, fid in g.adj[v]:
+    for w, fid in fresh_edges:
         if fid == e or fid in root_blocked or fid in local_blocked:
             continue
-        if w in state.sol_verts:
+        if w in sol_verts:
             outer.discard(fid)
-            if pair_girth_ok(state, e, fid):
+            if state.dist[u][w] + 2 >= state.k:
                 inner.add(fid)
         else:
             outer.add(fid)
@@ -254,11 +252,8 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
 def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
     """Child state for solution S + {e}; the parent is left untouched.
 
-    From the empty root the child is seed_state's single-edge state. A child
-    with no candidate is a leaf and gets its table only when it is read.
+    A child with no candidate is a leaf and gets its table only when it is read.
     """
-    if not state.solution:
-        return seed_state(state.g, state.k, e, state.root_blocked)
     g = state.g
     u, v = g.endpoints(e)
     is_inner = u in state.sol_verts and v in state.sol_verts
@@ -282,7 +277,7 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
         dist,
     )
     if dist is None:
-        child._pending = (update_dist_s, state.dist, state.sol_verts, e)
+        child._pending = (state.dist, e)
     return child
 
 
@@ -300,43 +295,6 @@ def exclude_candidate(state: EdgeEnumState, e: int) -> None:
 def branch_order(state: EdgeEnumState) -> list[int]:
     """Edges to branch on: inner candidates, then outer ones, each in ascending id."""
     return sorted(state.inner_cand) + sorted(state.outer_cand)
-
-
-def _hang(new: dict, old: dict, near: dict[int, Length], far: dict[int, Length]) -> None:
-    """Copy the rows of near's component into new, each gaining every vertex of far's.
-
-    near and far are the rows of the two endpoints of a joining edge, so
-    near[x] + 1 + far[y] is the length of the only x-y path, the one through
-    that edge. A vertex without a row in old is fresh: its row starts as {x: 0}.
-    """
-    for x, dx in near.items():
-        row = new[x] = dict(old[x]) if x in old else {x: 0}
-        dx += 1
-        for y, dy in far.items():
-            row[y] = dx + dy
-
-
-def update_dist_any(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
-    """Within-component distance table after adding e in the non-connected variant.
-
-    An edge inside one component is update_dist_s's inner step, which reads
-    only that component's rows. Any other edge {u, v} joins u's component
-    with v's: an edge to a fresh vertex hangs it off its component, an edge
-    between two fresh vertices starts a component, and in every case each
-    cross pair x, y gets d[x][u] + 1 + d[v][y]. Rows of other components are
-    shared with the parent.
-    """
-    old = state.dist
-    u, v = state.g.endpoints(e)
-    du = old.get(u)
-    if du is not None and v in du:
-        return update_dist_s(state, e)
-    dv = old.get(v) or {v: 0}
-    du = du or {u: 0}
-    new = dict(old)
-    _hang(new, old, du, dv)
-    _hang(new, old, dv, du)
-    return new
 
 
 def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
@@ -383,12 +341,12 @@ def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None)
             stats.pair_checks += sum(len(adj[x]) for x in near)
         if u not in sol_verts or v not in sol_verts:
             sol_verts = sol_verts | {u, v}
-    dist = update_dist_any(state, e) if inner or outer else None
+    dist = update_dist_s(state, e) if inner or outer else None
     child = EdgeEnumState(
         g, k, state.solution | {e}, sol_verts, inner, outer, state.root_blocked, set(state.local_blocked), dist
     )
     if dist is None:
-        child._pending = (update_dist_any, d, state.sol_verts, e)
+        child._pending = (d, e)
     return child
 
 

@@ -1,7 +1,10 @@
 """Girth computation and the pair/second-distance primitives.
 
-pair_distance and second_distance are the reference oracles for the distance
-tables that the fast enumerators maintain incrementally.
+pair_distance and second_distance are reference oracles for the induced
+engine: pair_distance for its distance table, second_distance for its
+candidate filter, which derives second distances from the chosen vertex's
+distance row instead of storing them. The tests check both against these
+functions (check_induced_state, test_filter_decides_by_dist_plus_second_distance).
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def second_distance(g: Graph, members: VertexSet, u: int, w: int) -> Length:
     u-w path (the first edge of the lexicographically-first shortest path);
     the returned value does not depend on that tie-break. INFINITE when u and
     w are disconnected in the pair graph, or when removing the edge isolates
-    them. Reference oracle for the incremental second-distance table.
+    them. Reference oracle for the induced candidate filter, which reads this
+    value off a distance row rather than storing it.
     """
     if u == w:
         raise ValueError("second_distance needs two distinct vertices")

@@ -37,14 +37,14 @@ class Graph:
         weighted: whether edge weights are meaningful (all 1 otherwise).
     """
 
-    __slots__ = ("n", "edges", "adj", "weighted", "_neighbors", "_neighbor_sets", "_pair_ids")
+    __slots__ = ("n", "edges", "adj", "weighted", "_neighbors", "_neighbor_sets")
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), weighted: bool = False):
         # bool subclasses int, but True is neither a count, a vertex id nor a weight
         if type(n) is bool or n < 0:
             raise ValidationError(f"vertex count must be a non-negative int, not {n!r}")
         norm: list[tuple[int, int, int]] = []
-        pair_ids: dict[tuple[int, int], int] = {}
+        pairs: set[tuple[int, int]] = set()
         for item in edges:
             if len(item) == 2:
                 u, v = item
@@ -59,13 +59,13 @@ class Graph:
                 raise ValidationError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in pair_ids:
+            if (u, v) in pairs:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             if not isinstance(w, int) or type(w) is bool or w < 1:
                 raise ValidationError(f"edge ({u}, {v}) has weight {w}; weights must be integers >= 1")
             if not weighted and w != 1:
                 raise ValidationError("non-unit weight on an unweighted graph")
-            pair_ids[(u, v)] = len(norm)
+            pairs.add((u, v))
             norm.append((u, v, w))
 
         adj_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -81,7 +81,6 @@ class Graph:
         self.weighted = weighted
         self._neighbors = tuple(tuple(nb for nb, _ in lst) for lst in adj_lists)
         self._neighbor_sets = tuple(frozenset(t) for t in self._neighbors)
-        self._pair_ids = pair_ids
 
     @property
     def m(self) -> int:
@@ -103,12 +102,6 @@ class Graph:
 
     def weight(self, eid: int) -> int:
         return self.edges[eid][2]
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Edge id joining u and v, or None if they are not adjacent."""
-        if u > v:
-            u, v = v, u
-        return self._pair_ids.get((u, v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -316,10 +309,6 @@ def cycle_graph(n: int, weights: Iterable[int] | None = None) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def petersen_graph() -> Graph:

@@ -28,13 +28,23 @@ from girthscope.edges_fast import (
     branch_order,
     branch_order_any,
     exclude_candidate,
+    initial_state,
     pair_girth_ok,
-    seed_state,
     update_dist_s,
     update_edge_cand,
 )
 from girthscope.verify import random_corpus
 from _state_checks import check_advance_keeps_parent, check_edge_state, select_edge, solution_bfs_levels
+
+
+def seed_state(g, k, eid, blocked):
+    """The single-edge state {eid}: the empty root advanced on eid, with `blocked` as its root marks.
+
+    The marks are shared by reference, so the caller may keep adding to them.
+    """
+    root = initial_state(g, k)
+    root.root_blocked = blocked
+    return advance(root, eid)
 
 
 def drive(g, k, edge_ids):
@@ -68,15 +78,19 @@ def test_select_edge_rule():
 
 
 def test_pair_girth_ok_examples():
+    # an outer e is priced by update_edge_cand: the back edges at its new vertex
     k3 = complete_graph(3)
     st = seed_state(k3, 4, 0, set())  # S={e01}; adding e12 makes e02 close a triangle
-    assert not pair_girth_ok(st, 2, 1)  # cycle length 3 < 4
+    inner, outer = update_edge_cand(st, 2)
+    assert 1 not in inner and 1 not in outer  # cycle length 3 < 4
     st3 = seed_state(k3, 3, 0, set())
-    assert pair_girth_ok(st3, 2, 1)  # 3 >= 3
+    inner, outer = update_edge_cand(st3, 2)
+    assert 1 in inner  # 3 >= 3
 
     c4 = cycle_graph(4)  # edge ids: (0,1)=0, (1,2)=1, (2,3)=2, (0,3)=3
     st = drive(c4, 4, [0, 1])  # S={e01,e12}; adding e23 turns e30 inner
-    assert pair_girth_ok(st, 2, 3)  # cycle length 4 >= 4
+    inner, outer = update_edge_cand(st, 2)
+    assert 3 in inner  # cycle length 4 >= 4
 
 
 def test_pair_girth_ok_inner_choice():
@@ -321,7 +335,7 @@ def test_only_states_with_a_candidate_build_a_table(monkeypatch):
     def counting_advance(state, e, stats=None):
         nonlocal branching
         child = real_advance(state, e, stats)
-        if state.solution and (child.inner_cand or child.outer_cand):
+        if child.inner_cand or child.outer_cand:
             branching += 1
         return child
 
@@ -331,6 +345,37 @@ def test_only_states_with_a_candidate_build_a_table(monkeypatch):
     enumerate_edges_fast(complete_graph(6), 4, stats=stats)
     assert builds == branching
     assert builds < stats.iterations
+
+
+def test_every_non_inner_step_writes_only_the_joined_rows():
+    # an edge that starts, extends or joins components rewrites exactly the
+    # rows of the (new) component it forms; every other row stays the parent's
+    two_k4 = Graph(8, [(u + s, v + s) for u in range(4) for v in range(u + 1, 4) for s in (0, 4)])
+    for g, k, connectivity in [
+        (complete_graph(5), 4, "any"),
+        (two_k4, 4, "any"),
+        (petersen_graph(), 5, "connected"),
+    ]:
+        steps = 0
+
+        def check(st):
+            nonlocal steps
+            for e in st.cand:
+                u, v = g.endpoints(e)
+                if v in st.dist.get(u, ()):
+                    continue
+                joined = {u, v} | set(st.dist.get(u, ())) | set(st.dist.get(v, ()))
+                new = update_dist_s(st, e)
+                assert set(new) == set(st.dist) | {u, v}
+                for x in new:
+                    if x in joined:
+                        assert new[x] == solution_bfs_levels(g, st.solution | {e}, x), (sorted(st.solution), e, x)
+                    else:
+                        assert new[x] is st.dist[x], (sorted(st.solution), e, x)
+                steps += 1
+
+        enumerate_edges_fast(g, k, connectivity=connectivity, on_state=check)
+        assert steps
 
 
 def test_leaf_tables_read_after_the_run_match_bfs():
@@ -411,7 +456,7 @@ def test_any_variant_advance_leaves_the_parent_untouched():
 
 def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
     builds = branching = 0
-    real_update, real_advance = edges_fast.update_dist_any, edges_fast.advance_any
+    real_update, real_advance = edges_fast.update_dist_s, edges_fast.advance_any
 
     def counting_update(state, e):
         nonlocal builds
@@ -425,7 +470,7 @@ def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
             branching += 1
         return child
 
-    monkeypatch.setattr(edges_fast, "update_dist_any", counting_update)
+    monkeypatch.setattr(edges_fast, "update_dist_s", counting_update)
     monkeypatch.setattr(edges_fast, "advance_any", counting_advance)
     stats = EdgeRunStats()
     enumerate_edges_fast(complete_graph(5), 4, connectivity="any", stats=stats)
