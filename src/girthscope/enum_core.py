@@ -215,7 +215,9 @@ def search(
         if not emitter.emit(frozenset(child.solution)):
             break
         if prune is None or not prune(child):
-            stack.append([child, order(child), 0])
+            todo = order(child)
+            if todo:
+                stack.append([child, todo, 0])
     return emitter.count
 
 

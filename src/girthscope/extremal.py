@@ -73,9 +73,9 @@ def densest_girth_graphs(
             # edges not yet touching the solution (an outer step can still turn
             # those into candidates; edges that touched and dropped out are
             # dead for good, since girth only decreases along a branch).
-            # A local mark was a candidate of an ancestor, so it touches the
-            # solution; the untouched unblocked edges are then the pairs of
-            # fresh vertices minus the root marks among them.
+            # A mark made below the root was a candidate of an ancestor, so it
+            # touches the solution; the untouched unblocked edges are then the
+            # pairs of fresh vertices minus the root marks among them.
             sol_verts = state.sol_verts
             fresh = n - len(sol_verts)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2

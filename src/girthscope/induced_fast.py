@@ -25,9 +25,16 @@ when those vertices became candidates. v's row holds every length the rule
 reads, so the filter needs no second table: it costs O(deg u) per candidate,
 and nothing when 2 * dist[u][v] >= k, since the second length is at least
 the first. dist is updated Floyd-Warshall style, one candidate row at a
-time. Excluding a candidate only marks it: its row and column stay in the
-table, unread, because every later read is keyed by a current candidate.
-Entries outside the scope are INFINITE by convention.
+time. Excluding a candidate only drops it from cand: its row and column stay
+in the table, unread, because every later read is keyed by a current
+candidate. Entries outside the scope are INFINITE by convention.
+
+Done marks are a set only at the root. Below it a vertex outside S and cand
+is excluded (done or girth-dropped) iff it has a neighbour in S: it became a
+candidate when its first S-neighbour joined, unless already excluded, and
+only exclusion removes a candidate; with no S-neighbour it was in no
+ancestor's cand, since every candidate below the root attaches to S, so only
+a root mark can exclude it.
 """
 
 from __future__ import annotations
@@ -49,14 +56,12 @@ class InducedRunStats:
 
 
 class InducedEnumState:
-    """Per-iteration state: solution, candidate set, exclusion sets, distance table.
+    """Per-iteration state: solution, candidate set, root marks, distance table.
 
     solution is a frozenset, so emitting it copies nothing.
 
-    Done-exclusion marks come in two parts. root_done holds the marks made at
-    the empty-solution root; every state of one run shares that set by
-    reference. local_done holds the marks made below the root and is copied by
-    advance, so a copy costs the branching along the current path, not n.
+    root_done holds the marks made at the empty-solution root, shared by every
+    state of one run; below the root no state holds a set of marks.
 
     dist is a dict of dicts holding finite entries only, never changed once
     built. It has one row per candidate, with solution and candidate columns,
@@ -67,27 +72,15 @@ class InducedEnumState:
     derive it from the distance rows, by the first-hop rule the filter uses.
     """
 
-    __slots__ = ("g", "k", "solution", "cand", "root_done", "local_done", "girth_blocked", "dist")
+    __slots__ = ("g", "k", "solution", "cand", "root_done", "dist")
 
-    def __init__(self, g, k, solution, cand, root_done, local_done, girth_blocked, dist):
+    def __init__(self, g, k, solution, cand, root_done, dist):
         self.g = g
         self.k = k
         self.solution = solution
         self.cand = cand
         self.root_done = root_done
-        self.local_done = local_done
-        self.girth_blocked = girth_blocked
         self.dist = dist
-
-    @property
-    def done_blocked(self) -> set[int]:
-        """Done-excluded vertices, as a fresh set (O(n); the engine itself never builds it).
-
-        Depth-first order marks a root vertex only after its child state was
-        built, and that vertex is in every solution of the child's subtree,
-        so subtracting the solution leaves exactly the marks the child saw.
-        """
-        return (self.root_done - self.solution) | self.local_done
 
     @property
     def second(self) -> dict[int, dict[int, Length]]:
@@ -130,7 +123,7 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
         for nb in g.neighbors(v):
             row[nb] = 1
         dist[v] = row
-    return InducedEnumState(g, k, frozenset(), set(range(g.n)), set(), set(), set(), dist)
+    return InducedEnumState(g, k, frozenset(), set(range(g.n)), set(), dist)
 
 
 def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict[int, Length]) -> Length:
@@ -156,8 +149,8 @@ def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict
     return second
 
 
-def _split_old_candidates(state: InducedEnumState, v: int):
-    """Partition the old candidates attached to S + {v}: (survivors, girth_dropped).
+def _split_old_candidates(state: InducedEnumState, v: int) -> set[int]:
+    """The old candidates that stay candidates of S + {v}; the rest are girth-dropped.
 
     u survives iff dist[u][v] + second >= k, where dist[u][v] = dist[v][u] is
     its smallest first-hop length and second the next one (module
@@ -171,9 +164,8 @@ def _split_old_candidates(state: InducedEnumState, v: int):
     dv = state.dist[v]
     sol = state.solution
     if not sol:
-        return state.cand.intersection(dv) - {v}, set()
+        return state.cand.intersection(dv) - {v}
     survivors: set[int] = set()
-    girth_dropped: set[int] = set()
     g = state.g
     k = state.k
     for u in state.cand:
@@ -182,9 +174,7 @@ def _split_old_candidates(state: InducedEnumState, v: int):
         d = dv[u]
         if 2 * d >= k or d + _second_distance_via_row(g, sol, u, v, dv) >= k:
             survivors.add(u)
-        else:
-            girth_dropped.add(u)
-    return survivors, girth_dropped
+    return survivors
 
 
 def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
@@ -192,20 +182,17 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
 
     A cycle through such a vertex would need two of its neighbors inside the
     new solution, so girth is preserved automatically and no test is needed.
+    Outside S and cand, they are the ones with no root mark and no
+    neighbour in S (module docstring).
     """
     sol = state.solution
     cand = state.cand
     root_done = state.root_done
-    local_done = state.local_done
-    girth = state.girth_blocked
+    neighbor_set = state.g.neighbor_set
     return {
         w
         for w in state.g.neighbors(v)
-        if w not in sol
-        and w not in cand
-        and w not in root_done
-        and w not in local_done
-        and w not in girth
+        if w not in sol and w not in cand and w not in root_done and neighbor_set(w).isdisjoint(sol)
     }
 
 
@@ -264,31 +251,27 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
 
 def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = None) -> InducedEnumState:
     """Child state for solution S + {v}; the parent is left untouched."""
-    survivors, girth_dropped = _split_old_candidates(state, v)
+    survivors = _split_old_candidates(state, v)
     if stats is not None:
-        stats.candidate_pairs += len(survivors) + len(girth_dropped)
+        # below the root the filter decides every other candidate, at the root only v's neighbours
+        stats.candidate_pairs += len(state.cand - {v}) if state.solution else len(survivors)
     newcand = survivors | adopt_new_candidates(state, v)
     return InducedEnumState(
-        state.g,
-        state.k,
-        state.solution | {v},
-        newcand,
-        state.root_done,
-        set(state.local_done),
-        state.girth_blocked | girth_dropped,
-        update_dist(state, v, newcand),
+        state.g, state.k, state.solution | {v}, newcand, state.root_done, update_dist(state, v, newcand)
     )
 
 
 def exclude_candidate(state: InducedEnumState, v: int) -> None:
     """Drop v from this iteration's remaining subtree (the done-set step).
 
-    The mark goes to the shared root part at the root and to the local part
-    below it. The table is not touched: every later read is keyed by a
-    current candidate, so v's row and column are never read again.
+    Below the root, dropping v from cand is the whole mark (module
+    docstring); at the root it also goes to root_done. The table is not
+    touched: every later read is keyed by a current candidate, so v's row
+    and column are never read again.
     """
     state.cand.discard(v)
-    (state.local_done if state.solution else state.root_done).add(v)
+    if not state.solution:
+        state.root_done.add(v)
 
 
 def branch_order(state: InducedEnumState) -> list[int]:
@@ -310,10 +293,10 @@ def enumerate_induced_fast(
 
     Same solution set as the baseline engine in connected induced mode, but
     candidate sets are maintained incrementally. Each recursion level owns its
-    candidate set, distance table and local exclusion marks, so backtracking
-    needs no undo; the root's exclusion marks are shared by every state below
-    it, which is exact because a subtree is finished before the root marks its
-    next vertex. Returns the number of solutions emitted.
+    candidate set and distance table, so backtracking needs no undo; the
+    root's exclusion marks are shared by every state below it, which is exact
+    because a subtree is finished before the root marks its next vertex.
+    Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
     return search(

@@ -3,8 +3,9 @@
 Each checker compares one live enumerator state against the reference
 oracles: distance tables entry-wise, candidate sets against the naive
 classification. The views of a state that only tests read (vertex status,
-the induced filter's survivors, the edge selection rule, attachment) live
-here too, so the engines carry none of them.
+the induced filter's survivors, the edge selection rule, attachment, the
+done marks a state inherited) live here too, so the engines carry none of
+them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from girthscope import pair_distance, second_distance
+from girthscope import girth_unweighted, induced_subgraph, pair_distance, second_distance
 from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive
 from girthscope.induced_fast import _split_old_candidates
 
@@ -23,22 +24,64 @@ DONE_EXCLUDED = "done-excluded"
 UNREACHED = "unreached"
 
 
-def status(state, v):
-    """Where vertex v stands in an induced state."""
+class MarkRecorder:
+    """Done marks each state inherited, rebuilt from the order in which `search` shows the states.
+
+    `search` passes every state to on_state in depth-first preorder, each
+    child right after its parent excluded the element the child added. So a
+    state's marks are its parent's marks plus the elements of the siblings
+    shown before it, and the empty root starts a run with none. Only the
+    solutions are read, never the engine's candidate sets or marks. Call it
+    on every state of the run, in on_state order.
+    """
+
+    def __init__(self):
+        self._path = []  # per depth: (solution, inherited marks, elements of the children shown so far)
+
+    def __call__(self, state) -> frozenset[int]:
+        solution = frozenset(state.solution)
+        if not solution:
+            self._path = [(solution, frozenset(), set())]
+            return frozenset()
+        while self._path and len(self._path[-1][0]) >= len(solution):
+            self._path.pop()
+        assert self._path and len(self._path[-1][0]) + 1 == len(solution) and self._path[-1][0] < solution, (
+            f"S={sorted(solution)} was not shown right below its parent"
+        )
+        parent, parent_marks, shown = self._path[-1]
+        marks = parent_marks | shown
+        shown.update(solution - parent)
+        self._path.append((solution, marks, set()))
+        return marks
+
+
+# marks for the checkers' default: they run as on_state of one search at a time
+_recorded_marks = MarkRecorder()
+
+
+def status(state, v, marks=frozenset()):
+    """Where vertex v stands in an induced state that inherited the done marks `marks`.
+
+    Outside S and cand, a marked vertex is done-excluded; an unmarked one
+    with no neighbour in S is unreached, and any other one must close a
+    cycle shorter than k, which is checked from scratch.
+    """
     if v in state.solution:
         return IN_SOLUTION
     if v in state.cand:
         return CANDIDATE
-    if v in state.root_done or v in state.local_done:
+    if v in marks:
         return DONE_EXCLUDED
-    if v in state.girth_blocked:
-        return GIRTH_EXCLUDED
-    return UNREACHED
+    if state.g.neighbor_set(v).isdisjoint(state.solution):
+        return UNREACHED
+    girth = girth_unweighted(induced_subgraph(state.g, state.solution | {v}))
+    assert girth < state.k, f"{v} is attached and unmarked and keeps girth {girth}, but is no candidate"
+    return GIRTH_EXCLUDED
 
 
 def filter_old_candidates(state, v):
     """Old candidates of an induced state still valid for S + {v}."""
-    return _split_old_candidates(state, v)[0]
+    return _split_old_candidates(state, v)
 
 
 def select_edge(state):
@@ -60,7 +103,15 @@ def attachment(state):
     return out
 
 
-def check_induced_state(g, k, state):
+def check_induced_state(g, k, state, marks=None):
+    """Distance and second-distance tables equal their oracles; cand equals the naive candidates.
+
+    The naive candidates leave out `marks`, the done marks the state
+    inherited. By default they are recorded by MarkRecorder, so the checker
+    must then see every state of the run, as on_state does.
+    """
+    if marks is None:
+        marks = _recorded_marks(state)
     scope = state.solution | state.cand
     for x in scope:
         for y in state.cand:
@@ -79,7 +130,7 @@ def check_induced_state(g, k, state):
                 f"second[{u}][{w}] = {state.get_second(u, w)} != {expected} at S={sorted(state.solution)}"
             )
     naive = candidate_set_naive(
-        g, BaselineState(set(state.solution), set(state.done_blocked)), EnumConfig(k=k)
+        g, BaselineState(set(state.solution), set(marks)), EnumConfig(k=k)
     )
     assert state.cand == naive, f"cand {sorted(state.cand)} != {sorted(naive)} at S={sorted(state.solution)}"
 
@@ -101,19 +152,22 @@ def solution_bfs_levels(g, edge_ids, source):
     return levels
 
 
-def check_edge_state(g, k, state, connectivity="connected"):
+def check_edge_state(g, k, state, connectivity="connected", marks=None):
     """Distance rows equal a BFS within each component; candidates equal the naive ones.
 
     A candidate is inner when both its endpoints lie in one component of the
-    solution (in the connected variant: both in V(S)), outer otherwise.
+    solution (in the connected variant: both in V(S)), outer otherwise. The
+    naive candidates leave out `marks`, as in check_induced_state.
     """
+    if marks is None:
+        marks = _recorded_marks(state)
     bfs = {x: solution_bfs_levels(g, state.solution, x) for x in state.sol_verts}
     assert set(state.dist) == state.sol_verts
     for x, levels in bfs.items():
         assert state.dist[x] == levels, f"row {x} = {state.dist[x]} != BFS {levels} at S={sorted(state.solution)}"
     naive = candidate_set_naive(
         g,
-        BaselineState(set(state.solution), set(state.blocked)),
+        BaselineState(set(state.solution), set(marks)),
         EnumConfig(k=k, mode="edge", connectivity=connectivity),
     )
     inner = set()

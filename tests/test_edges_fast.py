@@ -34,7 +34,13 @@ from girthscope.edges_fast import (
     update_edge_cand,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_advance_keeps_parent, check_edge_state, select_edge, solution_bfs_levels
+from _state_checks import (
+    MarkRecorder,
+    check_advance_keeps_parent,
+    check_edge_state,
+    select_edge,
+    solution_bfs_levels,
+)
 
 
 def seed_state(g, k, eid, blocked):
@@ -273,6 +279,29 @@ def test_stats_and_stop():
     assert enumerate_edges_fast(g, 4, include_empty=False) == count - 1
 
 
+def test_pair_checks_count_the_girth_tests_made():
+    # K3 at k=3, edge ids (0,1)=0, (0,2)=1, (1,2)=2: root steps test nothing,
+    # and of the other steps only {0} + 1 meets an unmarked back edge (2, at
+    # the new vertex 2); at {0} + 2 the back edge 1 is already marked. The
+    # non-connected run makes its one test at the same step, a join.
+    for connectivity in ("connected", "any"):
+        stats = EdgeRunStats()
+        assert enumerate_edges_fast(complete_graph(3), 3, connectivity=connectivity, stats=stats) == 8
+        assert stats.pair_checks == 1
+
+    # K4, edge ids (0,1)=0, (0,2)=1, (0,3)=2, (1,2)=3, (1,3)=4, (2,3)=5
+    k4 = complete_graph(4)
+    stats = EdgeRunStats()
+    advance(drive(k4, 3, [0, 1, 2]), 3, stats)  # inner: pair_girth_ok on 4 and 5
+    assert stats.pair_checks == 2
+    advance(drive(k4, 3, [0]), 1, stats)  # outer to vertex 2: the back edge 3
+    assert stats.pair_checks == 3
+    root = initial_state(k4, 3)
+    two_edges = advance_any(advance_any(root, 0), 5)
+    advance_any(two_edges, 1, stats)  # joins {0, 1} and {2, 3}: the edges 2, 3 and 4 between them
+    assert stats.pair_checks == 6
+
+
 def test_rejects_weighted_and_bad_k():
     g = Graph(2, [(0, 1, 2)], weighted=True)
     with pytest.raises(ValidationError):
@@ -481,12 +510,14 @@ def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
 def test_any_variant_leaf_tables_read_after_the_run_match_bfs():
     for g, k in [(complete_graph(5), 4), (petersen_graph(), 7)]:
         leaves = []
+        marks_of = MarkRecorder()
 
         def collect(st):
+            marks = marks_of(st)
             if st.solution and not st.cand:
-                leaves.append(st)
+                leaves.append((st, marks))
 
         enumerate_edges_fast(g, k, connectivity="any", on_state=collect, limit=20000)
         assert leaves
-        for st in leaves:
-            check_edge_state(g, k, st, "any")
+        for st, marks in leaves:
+            check_edge_state(g, k, st, "any", marks)

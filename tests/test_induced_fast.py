@@ -30,7 +30,15 @@ from girthscope.induced_fast import (
     initial_state,
 )
 from girthscope.verify import random_corpus
-from _state_checks import check_advance_keeps_parent, check_induced_state, filter_old_candidates, status
+from _state_checks import (
+    DONE_EXCLUDED,
+    GIRTH_EXCLUDED,
+    MarkRecorder,
+    check_advance_keeps_parent,
+    check_induced_state,
+    filter_old_candidates,
+    status,
+)
 
 # path 0..5 with two "ears" (7, 8 on {0, 3}) and a shortcut vertex 6 on
 # {5, 7, 8}: at k=5 a path through the added vertex is sometimes shorter and
@@ -111,9 +119,10 @@ def test_statuses_and_done_exclusion():
     assert status(st, 1) == "candidate"
     assert status(st, 2) == "unreached"
     exclude_candidate(st, 1)
-    assert status(st, 1) == "done-excluded"
+    assert status(st, 1, marks={1}) == "done-excluded"
     assert st.cand == {3}
     assert st.get_dist(3, 1) == INFINITE  # out of scope once excluded
+    assert advance(advance(st, 3), 2).cand == set()  # 1 is attached to S: marked, never adopted
 
     stg = state_at(c4, 5, [0, 1])  # adding 1 kills nothing; adding 2 girth-drops 3
     child = advance(stg, 2)
@@ -126,16 +135,20 @@ def test_exclusions_are_absorbing_along_each_branch():
     # excluded vertex never reappears as a candidate or solution member
     for g, k in [(complete_graph(4), 4), (petersen_graph(), 5), (cycle_graph(6), 4)]:
         shadow: list = []
+        marks_of = MarkRecorder()
 
         def check(st):
+            done = marks_of(st)
+            girth = {v for v in range(g.n) if status(st, v, done) == GIRTH_EXCLUDED}
+            assert done == {v for v in range(g.n) if status(st, v, done) == DONE_EXCLUDED}
             depth = len(st.solution)
             del shadow[depth:]
             if shadow:
                 parent = shadow[-1]
-                assert parent[0] <= st.girth_blocked
-                assert parent[1] <= st.done_blocked
-            assert not (st.girth_blocked | st.done_blocked) & (st.cand | st.solution)
-            shadow.append((frozenset(st.girth_blocked), frozenset(st.done_blocked)))
+                assert parent[0] <= girth
+                assert parent[1] <= done
+            assert not (girth | done) & (st.cand | st.solution)
+            shadow.append((frozenset(girth), done))
 
         enumerate_induced_fast(g, k, on_state=check, limit=200)
 
