@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .bench import bench_compare
 from .edges_fast import enumerate_edges_fast
-from .enum_core import EnumConfig, enumerate_baseline
+from .enum_core import EnumConfig, enumerate_baseline, validate_threshold
 from .errors import BudgetExceededError, GirthscopeError, ParseError, ValidationError
 from .extremal import densest_girth_graphs, format_extremal_report
 from .girth import girth_unweighted, girth_weighted
@@ -31,8 +31,10 @@ def _k_value(text: str):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"girth threshold {text!r} is not an integer or 'inf'")
-    if value < 3:
-        raise argparse.ArgumentTypeError("girth threshold must be >= 3 (or 'inf')")
+    try:
+        validate_threshold(value)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

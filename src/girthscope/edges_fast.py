@@ -145,10 +145,10 @@ def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
     a valid candidate, and the shortest cycle through f follows from the
     within-solution distances: 1 + min(d[x][y], d[x][u]+1+d[v][y], d[x][v]+1+d[u][y]).
     """
-    g = state.g
+    edges = state.g.edges
     d = state.dist
-    u, v = g.endpoints(e)
-    x, y = g.endpoints(f)
+    u, v, _ = edges[e]
+    x, y, _ = edges[f]
     dx = d[x]
     dy = d[y]
     return 1 + min(dx[y], dx[u] + 1 + dy[v], dx[v] + 1 + dy[u]) >= state.k
@@ -240,11 +240,14 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
     inner = set(state.inner_cand)
     outer = set(state.outer_cand)
     outer.discard(e)
+    du = None  # u's distance row, read on the first back edge
     for w, fid in g.adj[v]:
         if w in sol_verts:
             if fid in outer:
                 outer.remove(fid)
-                if state.dist[u][w] + 2 >= state.k:
+                if du is None:
+                    du = state.dist[u]
+                if du[w] + 2 >= state.k:
                     inner.add(fid)
         elif fid not in root_blocked:
             outer.add(fid)

@@ -52,7 +52,7 @@ class EnumConfig:
 
 def validate_threshold(k: Length) -> None:
     if k != INFINITE and not (isinstance(k, int) and k >= 3):
-        raise ValidationError("girth threshold must be an integer >= 3, or INFINITE")
+        raise ValidationError("girth threshold must be an integer >= 3, or infinite")
 
 
 def validate_fast_input(g: Graph, k: Length) -> None:

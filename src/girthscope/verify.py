@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .enum_core import Collector, EnumConfig, brute_force_enumerate, enumerate_baseline
 from .edges_fast import enumerate_edges_fast
 from .errors import ValidationError
+from .extremal import reduce_up_to_isomorphism
 from .graph import Graph, INFINITE, Length, is_connected
 from .induced_fast import enumerate_induced_fast
 
@@ -21,27 +22,19 @@ from .induced_fast import enumerate_induced_fast
 def all_connected_graphs(max_n: int) -> list[Graph]:
     """Every connected graph with 1..max_n vertices, one per isomorphism class.
 
-    Generated by filtering all labeled graphs; the canonical form is the
-    minimum edge list over all vertex permutations. Intended for small max_n
+    Generated by filtering all labeled graphs, keeping the first of each
+    class in mask order (reduce_up_to_isomorphism). Intended for small max_n
     (31 graphs at max_n=5).
     """
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
-        seen: set[tuple] = set()
+        labeled = []
         for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g = Graph(n, edges)
-            if not is_connected(g):
-                continue
-            canon = min(
-                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-                for p in permutations(range(n))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(g)
+            edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+            if is_connected(Graph(n, edges)):
+                labeled.append(edges)
+        out += [Graph(n, edges) for edges in reduce_up_to_isomorphism(labeled, n)]
     return out
 
 

@@ -2,12 +2,22 @@
 
 Deliberately different algorithm families from the package: cycle lengths by
 exhaustive simple-cycle enumeration, connectivity by union-find, distances by
-Floyd-Warshall or path enumeration. Meant for tiny graphs only.
+BFS, Floyd-Warshall or path enumeration. Meant for tiny graphs only.
+
+pair_distance and second_distance are the BFS oracles for the induced
+engine: pair_distance for its distance table, second_distance for its
+candidate filter, which derives second distances from the chosen vertex's
+distance row instead of storing them (check_induced_state,
+test_filter_decides_by_dist_plus_second_distance). test_girth checks both
+against fw_pair_distance and path_second_distance.
 """
 
 from __future__ import annotations
 
-from girthscope import Graph, INFINITE
+from collections import deque
+
+from girthscope import Graph, INFINITE, Length
+from girthscope.graph import VertexSet
 
 
 def brute_girth(g: Graph) -> int | float:
@@ -45,6 +55,67 @@ def union_find_connected(g: Graph) -> bool:
     for u, v, _ in g.edges:
         parent[find(u)] = find(v)
     return len({find(v) for v in range(g.n)}) == 1
+
+
+def _pair_levels(
+    g: Graph, members: VertexSet, u: int, w: int, source: int, skip: int | None = None
+) -> dict[int, int]:
+    """BFS levels from `source` inside the induced graph on members | {u, w}.
+
+    The edge from `source` to its neighbour `skip`, if given, is left out.
+    """
+    levels = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        lx = levels[x]
+        for y in g.neighbors(x):
+            if y in levels or (x == source and y == skip):
+                continue
+            if y != u and y != w and y not in members:
+                continue
+            levels[y] = lx + 1
+            queue.append(y)
+    return levels
+
+
+def pair_distance(g: Graph, members: VertexSet, u: int, w: int) -> Length:
+    """Shortest-path length between u and w inside the induced graph on members | {u, w}.
+
+    INFINITE when they are disconnected there. Reference oracle for the
+    incremental distance table.
+    """
+    if u == w:
+        raise ValueError("pair_distance needs two distinct vertices")
+    if not (0 <= u < g.n and 0 <= w < g.n):
+        raise ValueError("vertex id out of range")
+    return _pair_levels(g, members, u, w, u).get(w, INFINITE)
+
+
+def second_distance(g: Graph, members: VertexSet, u: int, w: int) -> Length:
+    """Distance between u and w in the pair graph with the first shortest-path edge removed.
+
+    The removed edge joins u to its lowest-id neighbor that starts a shortest
+    u-w path (the first edge of the lexicographically-first shortest path);
+    the returned value does not depend on that tie-break. INFINITE when u and
+    w are disconnected in the pair graph, or when removing the edge isolates
+    them. Reference oracle for the induced candidate filter, which reads this
+    value off a distance row rather than storing it.
+    """
+    if u == w:
+        raise ValueError("second_distance needs two distinct vertices")
+    if not (0 <= u < g.n and 0 <= w < g.n):
+        raise ValueError("vertex id out of range")
+    if u in members or w in members:
+        raise ValueError("second_distance endpoints must lie outside the vertex set")
+    from_w = _pair_levels(g, members, u, w, w)
+    d = from_w.get(u)
+    if d is None:
+        return INFINITE
+    first_hop = next(  # ascending id
+        y for y in g.neighbors(u) if (y == w or y in members) and from_w.get(y, INFINITE) + 1 == d
+    )
+    return _pair_levels(g, members, u, w, u, skip=first_hop).get(w, INFINITE)
 
 
 def fw_pair_distance(g: Graph, members, u: int, w: int) -> int | float:

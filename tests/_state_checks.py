@@ -13,9 +13,10 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from girthscope import girth_unweighted, induced_subgraph, pair_distance, second_distance
+from girthscope import girth_unweighted, induced_subgraph
 from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive
 from girthscope.induced_fast import _split_old_candidates
+from _oracles import pair_distance, second_distance
 
 IN_SOLUTION = "in-solution"
 CANDIDATE = "candidate"

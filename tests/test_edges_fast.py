@@ -11,7 +11,6 @@ from girthscope import (
     EnumConfig,
     Graph,
     INFINITE,
-    EdgeRunStats,
     ValidationError,
     brute_force_enumerate,
     complete_graph,
@@ -23,6 +22,7 @@ from girthscope import (
 )
 from girthscope import edges_fast
 from girthscope.edges_fast import (
+    EdgeRunStats,
     advance,
     advance_any,
     branch_order,

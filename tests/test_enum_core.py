@@ -7,7 +7,6 @@ import random
 import pytest
 
 from girthscope import (
-    BaselineState,
     BudgetExceededError,
     Collector,
     EnumConfig,
@@ -15,7 +14,6 @@ from girthscope import (
     INFINITE,
     ValidationError,
     brute_force_enumerate,
-    candidate_set_naive,
     complete_graph,
     cycle_graph,
     enumerate_baseline,
@@ -23,7 +21,7 @@ from girthscope import (
     enumerate_induced_fast,
     path_graph,
 )
-from girthscope.enum_core import _solution_ok
+from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive
 from girthscope.verify import random_corpus
 from _oracles import independent_solutions
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from girthscope import (
@@ -18,9 +20,9 @@ from girthscope import (
     format_extremal_report,
     girth_unweighted,
     path_graph,
-    reduce_up_to_isomorphism,
 )
-from girthscope.verify import random_corpus
+from girthscope.extremal import reduce_up_to_isomorphism
+from girthscope.verify import all_connected_graphs, random_corpus
 
 
 def weighted_triangle(w1, w2, w3):
@@ -213,3 +215,9 @@ def test_reduce_up_to_isomorphism_direct():
     relabeled = ((0, 2), (1, 2), (1, 3), (0, 3))
     kept = reduce_up_to_isomorphism([square, relabeled], 4)
     assert kept == [square]
+
+
+def test_connected_graph_corpus_has_one_graph_per_class():
+    # connected graphs on n unlabelled vertices (OEIS A001349)
+    counts = Counter(g.n for g in all_connected_graphs(5))
+    assert [counts[n] for n in range(1, 6)] == [1, 1, 2, 6, 21]

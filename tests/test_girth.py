@@ -13,10 +13,8 @@ from girthscope import (
     cycle_graph,
     girth_unweighted,
     girth_weighted,
-    pair_distance,
     path_graph,
     petersen_graph,
-    second_distance,
 )
 from girthscope.verify import random_graph
 from _oracles import (
@@ -24,7 +22,9 @@ from _oracles import (
     fw_pair_distance,
     min_cycle_through_pair,
     min_cycle_through_vertex,
+    pair_distance,
     path_second_distance,
+    second_distance,
 )
 
 

@@ -11,7 +11,6 @@ from girthscope import (
     EnumConfig,
     Graph,
     INFINITE,
-    InducedRunStats,
     ValidationError,
     brute_force_enumerate,
     complete_graph,
@@ -20,9 +19,9 @@ from girthscope import (
     enumerate_induced_fast,
     path_graph,
     petersen_graph,
-    second_distance,
 )
 from girthscope.induced_fast import (
+    InducedRunStats,
     adopt_new_candidates,
     advance,
     branch_order,
@@ -30,6 +29,7 @@ from girthscope.induced_fast import (
     initial_state,
 )
 from girthscope.verify import random_corpus
+from _oracles import second_distance
 from _state_checks import (
     DONE_EXCLUDED,
     GIRTH_EXCLUDED,
