@@ -26,11 +26,8 @@ branching takes every candidate in ascending id, as the baseline engine does,
 so both engines emit the same stream.
 
 A table is built when its state is, unless the state has no candidate: such a
-leaf never branches, so the engine never reads its table. A leaf keeps its
-parent's table and the edge instead, and builds the table through
-update_dist_s the first time it is read. Every table the engine reads
-belongs to a state that branches, so a pending table always rests on a
-built one.
+leaf never branches and search never offers it to prune, so nothing reads
+its table, and its dist is None.
 
 Done marks are a set only at the root; below it a mark is the edge's absence
 from the candidate sets. In the connected variant a mark made at a state A is
@@ -66,51 +63,32 @@ class EdgeEnumState:
     root_blocked holds the root edges already branched on, shared by every
     state of one run; below the root no state holds a set of marks.
 
-    solution is a frozenset, so emitting it copies nothing. sol_verts may be
-    the parent's set: no code mutates it.
+    solution is a frozenset, so emitting it copies nothing.
 
-    dist covers all vertices of the current solution subgraph (sol_verts), not
-    just those touching a candidate; a shortest path may run through vertices
-    that no candidate is incident to. Rows are never changed once built, so a
+    dist has a row for every vertex of the solution subgraph, not just those
+    touching a candidate; a shortest path may run through vertices that no
+    candidate is incident to. Its key set is V(S), so the engine tests a
+    vertex for V(S) against dist. Rows are never changed once built, so a
     child shares with its parent every row its step leaves unchanged. Every
     state below the empty root, single-edge ones included, gets its table
-    from the one table step update_dist_s.
+    from the one table step update_dist_s; a leaf (no candidate) has dist
+    None.
 
     In the non-connected variant inner_cand holds the candidates with both
     endpoints in one component of the solution, outer_cand every other one,
     and a row of dist holds only the vertices of its own component.
-
-    advance builds a leaf (no candidate) with dist None and sets its pending
-    slot to the parent's table and the added edge; the dist property builds
-    the table from them through update_dist_s on first read.
     """
 
-    __slots__ = (
-        "g", "k", "solution", "sol_verts", "inner_cand", "outer_cand", "root_blocked", "_dist", "_pending",
-    )
+    __slots__ = ("g", "k", "solution", "inner_cand", "outer_cand", "root_blocked", "dist")
 
-    def __init__(self, g, k, solution, sol_verts, inner_cand, outer_cand, root_blocked, dist):
+    def __init__(self, g, k, solution, inner_cand, outer_cand, root_blocked, dist):
         self.g = g
         self.k = k
         self.solution = solution
-        self.sol_verts = sol_verts
         self.inner_cand = inner_cand
         self.outer_cand = outer_cand
         self.root_blocked = root_blocked
-        self._dist = dist
-        self._pending = None
-
-    @property
-    def dist(self) -> dict[int, dict[int, Length]]:
-        """Within-solution distance table, built on first read for a leaf."""
-        table = self._dist
-        if table is None:
-            parent_dist, e = self._pending
-            # the parent as update_dist_s reads it: graph and table
-            parent = EdgeEnumState(self.g, self.k, None, None, None, None, None, parent_dist)
-            table = self._dist = update_dist_s(parent, e)
-            self._pending = None
-        return table
+        self.dist = dist
 
     @property
     def blocked(self) -> set[int]:
@@ -127,6 +105,7 @@ class EdgeEnumState:
         return self.inner_cand | self.outer_cand
 
     def get_dist(self, x: int, y: int) -> Length:
+        """dist[x][y], INFINITE across components; only a state with a candidate has a table."""
         row = self.dist.get(x)
         if row is None:
             return INFINITE
@@ -135,7 +114,7 @@ class EdgeEnumState:
 
 def initial_state(g: Graph, k: Length) -> EdgeEnumState:
     """State for the empty solution: no vertices, every edge an outer candidate."""
-    return EdgeEnumState(g, k, frozenset(), set(), set(), set(range(g.m)), set(), {})
+    return EdgeEnumState(g, k, frozenset(), set(), set(range(g.m)), set(), {})
 
 
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
@@ -226,27 +205,26 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
     """
     g = state.g
     u, v, _ = g.edges[e]
-    sol_verts = state.sol_verts
-    if u in sol_verts and v in sol_verts:
+    d = state.dist
+    du = d.get(u)
+    if du is not None and v in d:
         inner = {f for f in state.inner_cand if f != e and pair_girth_ok(state, e, f)}
         return inner, set(state.outer_cand)
     root_blocked = state.root_blocked
-    if not sol_verts:
+    if not d:
         outer = {fid for _, fid in g.adj[u] + g.adj[v] if fid not in root_blocked}
         outer.discard(e)
         return set(), outer
-    if u not in sol_verts:
+    if du is None:
         u, v = v, u
+        du = d[u]
     inner = set(state.inner_cand)
     outer = set(state.outer_cand)
     outer.discard(e)
-    du = None  # u's distance row, read on the first back edge
     for w, fid in g.adj[v]:
-        if w in sol_verts:
+        if w in d:
             if fid in outer:
                 outer.remove(fid)
-                if du is None:
-                    du = state.dist[u]
                 if du[w] + 2 >= state.k:
                     inner.add(fid)
         elif fid not in root_blocked:
@@ -257,36 +235,23 @@ def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
 def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
     """Child state for solution S + {e}; the parent is left untouched.
 
-    A child with no candidate is a leaf and gets its table only when it is read.
+    A child with no candidate is a leaf and gets no table.
     """
     g = state.g
     u, v, _ = g.edges[e]
-    sol_verts = state.sol_verts
-    is_inner = u in sol_verts and v in sol_verts
     if stats is not None:
-        if is_inner:
+        d = state.dist
+        if u in d and v in d:
             stats.inner_picks += 1
             stats.pair_checks += len(state.inner_cand) - 1  # pair_girth_ok calls
         else:
             stats.outer_picks += 1
             # back-edge tests: the new vertex's edges still outer candidates, except e (none at the root)
-            back = g.adj[v if u in sol_verts else u]
-            stats.pair_checks += sum(w in sol_verts and f in state.outer_cand for w, f in back) - bool(sol_verts)
+            back = g.adj[v if u in d else u]
+            stats.pair_checks += sum(w in d and f in state.outer_cand for w, f in back) - bool(d)
     inner, outer = update_edge_cand(state, e)
     dist = update_dist_s(state, e) if inner or outer else None
-    child = EdgeEnumState(
-        g,
-        state.k,
-        state.solution | {e},
-        sol_verts if is_inner else sol_verts | {u, v},
-        inner,
-        outer,
-        state.root_blocked,
-        dist,
-    )
-    if dist is None:
-        child._pending = (state.dist, e)
-    return child
+    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, state.root_blocked, dist)
 
 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:
@@ -322,7 +287,7 @@ def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None)
     the two components it joins, found from the adjacency of the smaller one.
     Those become inner if the cycle they would close, d[x][u] + 2 + d[v][y],
     is long enough. Every other candidate keeps its class. A child with no
-    candidate is a leaf and gets its table only when it is read.
+    candidate is a leaf and gets no table.
     """
     g = state.g
     k = state.k
@@ -331,7 +296,6 @@ def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None)
     u, v = edges[e][0], edges[e][1]
     du = d.get(u)
     outer = set(state.outer_cand)
-    sol_verts = state.sol_verts
     if du is not None and v in du:
         inner = {
             f for f in state.inner_cand if f != e and (edges[f][0] not in du or pair_girth_ok(state, e, f))
@@ -356,13 +320,8 @@ def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None)
             stats.outer_picks += 1
             # every candidate the loop tested left outer, and none was added
             stats.pair_checks += len(state.outer_cand) - (e in state.outer_cand) - len(outer)
-        if u not in sol_verts or v not in sol_verts:
-            sol_verts = sol_verts | {u, v}
     dist = update_dist_s(state, e) if inner or outer else None
-    child = EdgeEnumState(g, k, state.solution | {e}, sol_verts, inner, outer, state.root_blocked, dist)
-    if dist is None:
-        child._pending = (d, e)
-    return child
+    return EdgeEnumState(g, k, state.solution | {e}, inner, outer, state.root_blocked, dist)
 
 
 def branch_order_any(state: EdgeEnumState) -> list[int]:

@@ -176,13 +176,14 @@ def search(
     `order(state)` lists: the child for element x is `advance(state, x,
     stats)`, built before `exclude(state, x)` drops x from the rest of the
     state's subtree. Each child is passed to `on_state`, then its solution is
-    emitted; `prune(state)` returning True skips a state's subtree but keeps
-    its solution. `on_state` sees every state, the empty root included; in
-    the edge engine that root is a state of its own, with every edge an
-    outer candidate. `stats`, when given, gets `iterations` (states built,
-    the root included) and `max_depth` (the root has depth 1). Returns the
-    number of solutions emitted, partial if `limit` or the sink stopped the
-    run; a negative `limit` raises ValidationError.
+    emitted. `prune(state)` is asked only about a state with elements to
+    branch on; returning True skips its subtree but keeps its solution.
+    `on_state` sees every state, the empty root included; in the edge engine
+    that root is a state of its own, with every edge an outer candidate.
+    `stats`, when given, gets `iterations` (states built, the root included)
+    and `max_depth` (the root has depth 1). Returns the number of solutions
+    emitted, partial if `limit` or the sink stopped the run; a negative
+    `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
     if stats is not None:
@@ -193,8 +194,9 @@ def search(
     if include_empty and not emitter.emit(frozenset()):
         return emitter.count
     stack = []
-    if prune is None or not prune(root):
-        stack.append([root, order(root), 0])
+    todo = order(root)
+    if todo and (prune is None or not prune(root)):
+        stack.append([root, todo, 0])
     while stack:
         frame = stack[-1]
         state, todo, i = frame
@@ -214,10 +216,9 @@ def search(
             on_state(child)
         if not emitter.emit(frozenset(child.solution)):
             break
-        if prune is None or not prune(child):
-            todo = order(child)
-            if todo:
-                stack.append([child, todo, 0])
+        todo = order(child)
+        if todo and (prune is None or not prune(child)):
+            stack.append([child, todo, 0])
     return emitter.count
 
 
@@ -235,9 +236,9 @@ def enumerate_baseline(
     duplicates. The empty solution is emitted first when configured. Returns
     the number of solutions emitted (partial if the sink stopped the run).
 
-    `prune` is consulted with a state (its solution and sorted candidates)
-    before its subtree is expanded; returning True skips the subtree but keeps
-    its root solution.
+    `prune` is consulted with a state that has candidates (its solution and
+    sorted candidates) before its subtree is expanded; returning True skips
+    the subtree but keeps its root solution.
     """
     cfg.validate(g)
 

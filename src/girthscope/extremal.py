@@ -75,13 +75,15 @@ def densest_girth_graphs(
             # dead for good, since girth only decreases along a branch).
             # A mark made below the root was a candidate of an ancestor, so it
             # touches the solution; the untouched unblocked edges are then the
-            # pairs of fresh vertices minus the root marks among them.
-            sol_verts = state.sol_verts
-            fresh = n - len(sol_verts)
+            # pairs of fresh vertices minus the root marks among them. search
+            # asks only about states that branch, and those hold a table whose
+            # keys are the solution's vertices.
+            d = state.dist
+            fresh = n - len(d)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
             for eid in state.root_blocked:
                 u, v, _ = edges[eid]
-                if u not in sol_verts and v not in sol_verts:
+                if u not in d and v not in d:
                     reachable -= 1
             return reachable < best_size
 

@@ -41,18 +41,22 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple] = (), weighted: bool = False):
         # bool subclasses int, but True is neither a count, a vertex id nor a weight
-        if type(n) is bool or n < 0:
+        if type(n) is not int or n < 0:
             raise ValidationError(f"vertex count must be a non-negative int, not {n!r}")
         norm: list[tuple[int, int, int]] = []
         pairs: set[tuple[int, int]] = set()
         for item in edges:
-            if len(item) == 2:
+            # a tuple, the usual item, skips the slower ABC check
+            size = len(item) if type(item) is tuple or isinstance(item, Sequence) else 0
+            if size == 2:
                 u, v = item
                 w = 1
-            else:
+            elif size == 3:
                 u, v, w = item
-            if type(u) is bool or type(v) is bool:
-                raise ValidationError(f"edge ({u!r}, {v!r}) has a bool endpoint")
+            else:
+                raise ValidationError(f"edge {item!r} is not a (u, v) or (u, v, weight) sequence")
+            if type(u) is not int or type(v) is not int:
+                raise ValidationError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:

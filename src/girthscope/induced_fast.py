@@ -254,7 +254,7 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
     survivors = _split_old_candidates(state, v)
     if stats is not None:
         # below the root the filter decides every other candidate, at the root only v's neighbours
-        stats.candidate_pairs += len(state.cand - {v}) if state.solution else len(survivors)
+        stats.candidate_pairs += len(state.cand) - 1 if state.solution else len(survivors)
     newcand = survivors | adopt_new_candidates(state, v)
     return InducedEnumState(
         state.g, state.k, state.solution | {v}, newcand, state.root_done, update_dist(state, v, newcand)

@@ -68,40 +68,44 @@ def random_corpus(
     return out
 
 
+VERIFY_MAX_N = 6  # vertex bound of the random graphs
+VERIFY_MAX_M = 7  # edge mode runs only on graphs with at most this many edges
+VERIFY_THRESHOLDS: tuple[Length, ...] = (3, 4, 5, INFINITE)
+
+
 def run_verification(
     *,
     random_count: int = 50,
     seed: int = 2024,
-    max_n: int = 6,
-    max_m: int = 7,
-    thresholds: tuple[Length, ...] = (3, 4, 5, INFINITE),
     report: Callable[[str], object] | None = None,
 ) -> list[str]:
     """Full oracle-equivalence matrix; returns a list of discrepancy strings.
 
     Corpus: every connected graph on <= 5 vertices plus `random_count` random
-    graphs with n <= max_n. For each graph and threshold, the baseline engine
-    is checked against the brute-force filter in all four mode/connectivity
-    combinations, and the fast engines against it in every combination they
-    run: both connected modes and edge mode without connectivity (edge mode
-    restricted to graphs with m <= max_m).
+    graphs with n <= VERIFY_MAX_N. For each graph and threshold, the baseline
+    engine is checked against the brute-force filter in all four
+    mode/connectivity combinations, and the fast engines against it in every
+    combination they run: both connected modes and edge mode without
+    connectivity (edge mode restricted to graphs with m <= VERIFY_MAX_M). An
+    engine fails a check if it misses a solution, adds one, or emits one
+    twice.
     """
     if random_count < 0:
         raise ValidationError("random_count must be >= 0")
     say = report or (lambda _msg: None)
-    corpus = all_connected_graphs(5) + random_corpus(random_count, max_n, seed)
+    corpus = all_connected_graphs(5) + random_corpus(random_count, VERIFY_MAX_N, seed)
     failures: list[str] = []
 
     def check(name: str, got, expected):
-        if set(got) != set(expected):
+        if len(got) != len(set(got)) or set(got) != set(expected):
             failures.append(name)
             say(f"FAIL {name}: {len(got)} vs {len(expected)} solutions")
 
     for idx, g in enumerate(corpus):
         tag = f"graph#{idx}(n={g.n},m={g.m})"
-        for k in thresholds:
+        for k in VERIFY_THRESHOLDS:
             for mode in ("induced", "edge"):
-                if mode == "edge" and g.m > max_m:
+                if mode == "edge" and g.m > VERIFY_MAX_M:
                     continue
                 for connectivity in ("connected", "any"):
                     cfg = EnumConfig(k=k, mode=mode, connectivity=connectivity)
@@ -117,5 +121,5 @@ def run_verification(
                     else:
                         enumerate_edges_fast(g, k, fast, connectivity=connectivity)
                     check(f"{tag} k={k} {mode}/{connectivity} fast", fast.solutions, expected)
-    say(f"verified {len(corpus)} graphs x {len(thresholds)} thresholds; {len(failures)} failure(s)")
+    say(f"verified {len(corpus)} graphs x {len(VERIFY_THRESHOLDS)} thresholds; {len(failures)} failure(s)")
     return failures

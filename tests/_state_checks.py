@@ -3,9 +3,9 @@
 Each checker compares one live enumerator state against the reference
 oracles: distance tables entry-wise, candidate sets against the naive
 classification. The views of a state that only tests read (vertex status,
-the induced filter's survivors, the edge selection rule, attachment, the
-done marks a state inherited) live here too, so the engines carry none of
-them.
+the induced filter's survivors, the edge selection rule, the solution's
+vertices, attachment, the done marks a state inherited) live here too, so
+the engines carry none of them.
 """
 
 from __future__ import annotations
@@ -94,13 +94,19 @@ def select_edge(state):
     raise ValueError("select_edge on empty candidate sets")
 
 
+def solution_vertices(state):
+    """V(S) of an edge state: the endpoints of its solution's edges."""
+    return {x for eid in state.solution for x in state.g.endpoints(eid)}
+
+
 def attachment(state):
     """Solution vertices of an edge state incident to at least one candidate edge."""
     out = set()
+    verts = solution_vertices(state)
     for eid in state.inner_cand:
         out.update(state.g.endpoints(eid))
     for eid in state.outer_cand:
-        out.update(x for x in state.g.endpoints(eid) if x in state.sol_verts)
+        out.update(x for x in state.g.endpoints(eid) if x in verts)
     return out
 
 
@@ -156,16 +162,22 @@ def solution_bfs_levels(g, edge_ids, source):
 def check_edge_state(g, k, state, connectivity="connected", marks=None):
     """Distance rows equal a BFS within each component; candidates equal the naive ones.
 
-    A candidate is inner when both its endpoints lie in one component of the
-    solution (in the connected variant: both in V(S)), outer otherwise. The
-    naive candidates leave out `marks`, as in check_induced_state.
+    A leaf below the root (no candidate) holds no table; every other state
+    has one row per solution vertex. A candidate is inner when both its
+    endpoints lie in one component of the solution (in the connected
+    variant: both in V(S)), outer otherwise. The naive candidates leave out
+    `marks`, as in check_induced_state.
     """
     if marks is None:
         marks = _recorded_marks(state)
-    bfs = {x: solution_bfs_levels(g, state.solution, x) for x in state.sol_verts}
-    assert set(state.dist) == state.sol_verts
-    for x, levels in bfs.items():
-        assert state.dist[x] == levels, f"row {x} = {state.dist[x]} != BFS {levels} at S={sorted(state.solution)}"
+    verts = solution_vertices(state)
+    bfs = {x: solution_bfs_levels(g, state.solution, x) for x in verts}
+    if state.solution and not (state.inner_cand or state.outer_cand):
+        assert state.dist is None, f"leaf S={sorted(state.solution)} holds a table"
+    else:
+        assert set(state.dist) == verts
+        for x, levels in bfs.items():
+            assert state.dist[x] == levels, f"row {x} = {state.dist[x]} != BFS {levels} at S={sorted(state.solution)}"
     naive = candidate_set_naive(
         g,
         BaselineState(set(state.solution), set(marks)),
@@ -183,8 +195,8 @@ def check_edge_state(g, k, state, connectivity="connected", marks=None):
         f"outer {sorted(state.outer_cand)} != {sorted(naive - inner)} at S={sorted(state.solution)}"
     )
     if connectivity == "connected":
-        assert len(state.inner_cand) <= len(state.sol_verts)
-        assert attachment(state) <= state.sol_verts
+        assert len(state.inner_cand) <= len(verts)
+        assert attachment(state) <= verts
 
 
 def check_advance_keeps_parent(state, advance, exclude, order):

@@ -35,7 +35,7 @@ from girthscope.cli import EXIT_OK, run_cli
 from girthscope.enum_core import search
 from girthscope.verify import all_connected_graphs, random_corpus
 from _oracles import brute_girth
-from _state_checks import check_edge_state, check_induced_state, filter_old_candidates
+from _state_checks import check_edge_state, check_induced_state, filter_old_candidates, solution_vertices
 
 THRESHOLDS = (3, 4, 5, 6, INFINITE)
 
@@ -134,7 +134,7 @@ def test_criterion_5_transition_invariants():
         pre_inner = frozenset(state.inner_cand)
         pre_outer = frozenset(state.outer_cand)
         nxt = edges_fast.advance(state, e, stats)
-        assert len(nxt.inner_cand) <= len(nxt.sol_verts)
+        assert len(nxt.inner_cand) <= len(solution_vertices(nxt))
         if was_inner:
             assert nxt.outer_cand == pre_outer
             assert nxt.inner_cand < pre_inner

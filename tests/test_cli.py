@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthscope import ValidationError, petersen_graph, run_verification, to_edge_list
+from girthscope import ValidationError, petersen_graph, run_verification, to_edge_list, verify
 from girthscope.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
@@ -219,6 +219,26 @@ def test_bench_reports_and_checks_counts(capsys):
 def test_verify_smoke(capsys):
     assert run_cli(["verify", "--random-count", "2", "--seed", "1"]) == EXIT_OK
     assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_verify_fails_an_engine_that_emits_a_solution_twice(monkeypatch):
+    # the same solution set, but the first solution comes out twice
+    real = verify.enumerate_edges_fast
+
+    def duplicating(g, k, sink, **kwargs):
+        first = []
+
+        def twice(solution, ordinal):
+            if not first:
+                first.append(solution)
+                sink(solution, ordinal)
+            return sink(solution, ordinal)
+
+        return real(g, k, twice, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_edges_fast", duplicating)
+    failures = run_verification(random_count=0)
+    assert failures and all(name.endswith(" fast") and " edge/" in name for name in failures)
 
 
 def test_verify_rejects_a_negative_count(capsys):

@@ -40,6 +40,7 @@ from _state_checks import (
     check_edge_state,
     select_edge,
     solution_bfs_levels,
+    solution_vertices,
 )
 
 
@@ -64,7 +65,7 @@ def drive(g, k, edge_ids):
 def test_seed_state_bootstrap():
     k3 = complete_graph(3)  # edge ids: (0,1)=0, (0,2)=1, (1,2)=2
     st = seed_state(k3, 4, 0, set())
-    assert st.solution == {0} and st.sol_verts == {0, 1}
+    assert st.solution == {0} and solution_vertices(st) == {0, 1}
     assert st.inner_cand == set() and st.outer_cand == {1, 2}
     assert st.get_dist(0, 1) == 1
     st2 = seed_state(k3, 4, 0, {1})
@@ -128,8 +129,9 @@ def test_update_dist_s_monotone_on_inner():
     st = drive(g, 3, [0, 1, 3])  # S = {(0,1), (0,2), (1,2)}
     for e in sorted(st.inner_cand):
         nd = update_dist_s(st, e)
-        for x in st.sol_verts:
-            for y in st.sol_verts:
+        verts = solution_vertices(st)
+        for x in verts:
+            for y in verts:
                 assert nd[x][y] <= st.get_dist(x, y)
 
 
@@ -237,21 +239,22 @@ def mini_dfs(g, k, on_transition):
 ])
 def test_transition_invariants(g, k):
     def on_transition(state, e, was_inner, nxt):
+        verts, next_verts = solution_vertices(state), solution_vertices(nxt)
         # inner pick: outer candidates untouched, inner set strictly shrinks
         if was_inner:
             assert nxt.outer_cand == state.outer_cand
             assert nxt.inner_cand < state.inner_cand
-            assert nxt.sol_verts == state.sol_verts
+            assert next_verts == verts
         else:
-            assert len(nxt.sol_verts) == len(state.sol_verts) + 1
+            assert len(next_verts) == len(verts) + 1
         # inner candidates never outnumber the solution's vertices
-        assert len(nxt.inner_cand) <= len(nxt.sol_verts)
+        assert len(nxt.inner_cand) <= len(next_verts)
         # removed outer candidates all touch the new solution's vertex set
         removed = state.outer_cand - nxt.outer_cand
-        assert len(removed) <= len(nxt.sol_verts)
+        assert len(removed) <= len(next_verts)
         added = nxt.outer_cand - state.outer_cand
         if added:
-            (new_vertex,) = nxt.sol_verts - state.sol_verts
+            (new_vertex,) = next_verts - verts
             assert len(added) <= g.degree(new_vertex)
 
     mini_dfs(g, k, on_transition)
@@ -407,7 +410,8 @@ def test_every_non_inner_step_writes_only_the_joined_rows():
         assert steps
 
 
-def test_leaf_tables_read_after_the_run_match_bfs():
+def test_every_leaf_holds_no_table():
+    # nothing reads a leaf's table: it never branches and is never offered to prune
     for g, k in [(complete_graph(6), 4), (petersen_graph(), 5), (cycle_graph(5), 3)]:
         leaves = []
 
@@ -418,10 +422,7 @@ def test_leaf_tables_read_after_the_run_match_bfs():
         enumerate_edges_fast(g, k, on_state=collect)
         assert leaves
         for st in leaves:
-            for x in st.sol_verts:
-                levels = solution_bfs_levels(g, st.solution, x)
-                for y in st.sol_verts:
-                    assert st.get_dist(x, y) == levels.get(y, INFINITE), f"S={sorted(st.solution)}"
+            assert st.dist is None, f"S={sorted(st.solution)}"
 
 
 # --- the non-connected variant ----------------------------------------------
@@ -443,15 +444,17 @@ def test_any_variant_join_writes_cross_distances():
 
     def look(st):
         # candidate sets shrink as siblings are branched on, so copy them now
-        seen[frozenset(st.solution)] = (st.dist, set(st.inner_cand), set(st.outer_cand))
+        seen[frozenset(st.solution)] = (st, st.dist, set(st.inner_cand), set(st.outer_cand))
 
     enumerate_edges_fast(g, 7, connectivity="any", on_state=look)
-    dist, inner, outer = seen[frozenset({0, 1, 2, 3})]
+    parent, dist, inner, outer = seen[frozenset({0, 1, 2, 3})]
     assert dist[0] == {0: 0, 1: 1, 2: 2} and dist[5] == {3: 2, 4: 1, 5: 0}
     assert inner == set() and outer == {4, 5}
-    dist, inner, outer = seen[frozenset({0, 1, 2, 3, 4})]
-    assert dist[0][5] == 5 and dist[1][4] == 3 and dist[2] == {0: 2, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
+    leaf, dist, inner, outer = seen[frozenset({0, 1, 2, 3, 4})]
     assert inner == outer == set()  # (0, 5) would close a 6-cycle, shorter than 7
+    assert dist is None  # a leaf holds no table; the join's table is its parent's step
+    dist = update_dist_s(parent, 4)
+    assert dist[0][5] == 5 and dist[1][4] == 3 and dist[2] == {0: 2, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
     assert frozenset({0, 1, 2, 3, 4, 5}) not in seen
 
 
@@ -507,7 +510,7 @@ def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
     assert builds < stats.iterations
 
 
-def test_any_variant_leaf_tables_read_after_the_run_match_bfs():
+def test_any_variant_every_leaf_holds_no_table():
     for g, k in [(complete_graph(5), 4), (petersen_graph(), 7)]:
         leaves = []
         marks_of = MarkRecorder()
@@ -520,4 +523,5 @@ def test_any_variant_leaf_tables_read_after_the_run_match_bfs():
         enumerate_edges_fast(g, k, connectivity="any", on_state=collect, limit=20000)
         assert leaves
         for st, marks in leaves:
+            assert st.dist is None, f"S={sorted(st.solution)}"
             check_edge_state(g, k, st, "any", marks)

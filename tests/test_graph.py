@@ -122,6 +122,19 @@ def test_graph_rejects_bools_as_ints(n, edges, weighted):
         Graph(n, edges, weighted=weighted)
 
 
+@pytest.mark.parametrize("item", [(0, 1, 1, 1), (0,), 5, (0.5, 1), ("0", 1)])
+def test_graph_rejects_malformed_edge_items(item):
+    # a wrong arity, a non-sequence, a float or a string endpoint is a typed error, not a crash
+    with pytest.raises(ValidationError):
+        Graph(2, [item])
+
+
+@pytest.mark.parametrize("n", [2.5, "3", None])
+def test_graph_rejects_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(ValidationError):
+        Graph(n, [])
+
+
 def test_empty_graph_is_legal():
     g = parse_edge_list("")
     assert g.n == 0 and g.m == 0
