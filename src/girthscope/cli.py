@@ -118,6 +118,12 @@ def _run_enumeration(args, g: Graph, sink) -> int:
     )
 
 
+def _report_limit(args, count: int) -> None:
+    """Say on stderr when a run stopped at --limit: the output may then be a prefix."""
+    if args.limit is not None and count == args.limit:
+        print(f"limit of {args.limit} solutions reached; more solutions may exist", file=sys.stderr)
+
+
 def _cmd_girth(args) -> int:
     g = _load_graph(args)
     value = girth_weighted(g) if args.weighted else girth_unweighted(g)
@@ -136,17 +142,20 @@ def _cmd_enum(args) -> int:
         def sink(solution, ordinal):
             out.write(_solution_line(solution, g, args.mode, args.endpoints) + "\n")
 
-        _run_enumeration(args, g, sink)
+        count = _run_enumeration(args, g, sink)
     finally:
         if args.output:
             out.close()
+    _report_limit(args, count)
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
     _check_algorithm(args)
     g = _load_graph(args)
-    print(_run_enumeration(args, g, None))
+    count = _run_enumeration(args, g, None)
+    print(count)
+    _report_limit(args, count)
     return EXIT_OK
 
 

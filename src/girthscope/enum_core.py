@@ -64,9 +64,9 @@ def validate_fast_input(g: Graph, k: Length) -> None:
 
 @dataclass
 class BaselineState:
-    """One iteration of the baseline engine: solution, done-set mask, sorted candidates."""
+    """One iteration of the baseline engine: frozen solution, done-set mask, sorted candidates."""
 
-    solution: set[int]
+    solution: frozenset[int]
     excluded: set[int]
     cands: list[int] = field(default_factory=list)
 
@@ -175,9 +175,10 @@ def search(
     when `include_empty` is set. Every state then branches on the elements
     `order(state)` lists: the child for element x is `advance(state, x,
     stats)`, built before `exclude(state, x)` drops x from the rest of the
-    state's subtree. Each child is passed to `on_state`, then its solution is
-    emitted. `prune(state)` is asked only about a state with elements to
-    branch on; returning True skips its subtree but keeps its solution.
+    state's subtree. Each child is passed to `on_state`, then its solution,
+    a frozenset in every engine, is emitted as it is. `prune(state)` is asked
+    only about a state with elements to branch on; returning True skips its
+    subtree but keeps its solution.
     `on_state` sees every state, the empty root included; in the edge engine
     that root is a state of its own, with every edge an outer candidate.
     `stats`, when given, gets `iterations` (states built, the root included)
@@ -214,7 +215,7 @@ def search(
                 stats.max_depth = depth
         if on_state is not None:
             on_state(child)
-        if not emitter.emit(frozenset(child.solution)):
+        if not emitter.emit(child.solution):
             break
         todo = order(child)
         if todo and (prune is None or not prune(child)):
@@ -253,7 +254,7 @@ def enumerate_baseline(
         state.excluded.add(x)
 
     return search(
-        with_cands(BaselineState(set(), set())),
+        with_cands(BaselineState(frozenset(), set())),
         attrgetter("cands"),
         advance,
         exclude,

@@ -35,6 +35,10 @@ class Graph:
         edges: tuple of (u, v, weight) with u < v, indexed by edge id.
         adj: per-vertex tuple of (neighbor, edge id), sorted by neighbor.
         weighted: whether edge weights are meaningful (all 1 otherwise).
+
+    Inside the package, _neighbors and _neighbor_sets (per-vertex neighbour
+    tuples and frozensets, the values of neighbors and neighbor_set) are read
+    directly by hot loops that would otherwise pay a method call per vertex.
     """
 
     __slots__ = ("n", "edges", "adj", "weighted", "_neighbors", "_neighbor_sets")

@@ -25,9 +25,13 @@ when those vertices became candidates. v's row holds every length the rule
 reads, so the filter needs no second table: it costs O(deg u) per candidate,
 and nothing when 2 * dist[u][v] >= k, since the second length is at least
 the first. dist is updated Floyd-Warshall style, one candidate row at a
-time. Excluding a candidate only drops it from cand: its row and column stay
-in the table, unread, because every later read is keyed by a current
-candidate. Entries outside the scope are INFINITE by convention.
+time. A step builds each of its sets once: the filter's survivors and the
+neighbours of v adopted through v alone go to update_dist as they are, and
+their union is the child's cand. The hot loops read the Graph's neighbour
+tuples and frozensets directly. Excluding a candidate only drops it from
+cand: its row and column stay in the table, unread, because every later read
+is keyed by a current candidate. Entries outside the scope are INFINITE by
+convention.
 
 Done marks are a set only at the root. Below it a vertex outside S and cand
 is excluded (done or girth-dropped) iff it has a neighbour in S: it became a
@@ -134,7 +138,7 @@ def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict
     when u has fewer than two first hops.
     """
     first = second = INFINITE
-    for y in g.neighbors(u):
+    for y in g._neighbors[u]:
         if y == w:
             d = 1
         elif y in sol:
@@ -188,23 +192,28 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
     sol = state.solution
     cand = state.cand
     root_done = state.root_done
-    neighbor_set = state.g.neighbor_set
-    return {
-        w
-        for w in state.g.neighbors(v)
-        if w not in sol and w not in cand and w not in root_done and neighbor_set(w).isdisjoint(sol)
-    }
+    neighbor_sets = state.g._neighbor_sets
+    adopted: set[int] = set()
+    for w in state.g._neighbors[v]:
+        if w not in sol and w not in cand and w not in root_done and neighbor_sets[w].isdisjoint(sol):
+            adopted.add(w)
+    return adopted
 
 
-def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int, dict[int, Length]]:
-    """Distance table for S + {v}: one row per vertex of newcand, over S + {v} + newcand.
+def update_dist(
+    state: InducedEnumState, v: int, survivors: set[int], adopted: set[int]
+) -> dict[int, dict[int, Length]]:
+    """Distance table for S + {v}: one row per survivor and per adopted vertex, over S + {v} + both.
 
-    A surviving candidate u keeps min(dist[u][y], dist[u][v] + dist[v][y]) for
-    every y in S + {v} and every other survivor; each such pair had a
-    candidate end before, so both terms are stored. A vertex w adopted
-    through v touches S + {v} only at v, so it sits at dist[v][x] + 1 from
-    every x in S (the old entry is already the distance in S + {v}), and at
-    1 or dist[u][v] + 1 from a survivor u. Costs |newcand| * (|S| + |newcand|).
+    `survivors` are the old candidates the filter kept and `adopted` the
+    vertices that attach through v alone; the child's cand is their union.
+    A survivor u keeps min(dist[u][y], dist[u][v] + dist[v][y]) for every y
+    in S + {v} and every other survivor; each such pair had a candidate end
+    before, so both terms are stored. An adopted w touches S + {v} only at v,
+    so it sits at dist[v][x] + 1 from every x in S (the old entry is already
+    the distance in S + {v}), at 1 or dist[u][v] + 1 from a survivor u, and
+    at 1 or 2 from another adopted vertex. Costs |newcand| * (|S| + |newcand|)
+    for newcand = survivors | adopted.
 
     Every pair in scope is finite: below the root S is connected and every
     candidate attaches to it. At the root only dist[u][y] between two
@@ -213,8 +222,6 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
     old = state.dist
     dv = old[v]
     sol = state.solution
-    survivors = [u for u in newcand if u in state.cand]
-    adopted = [w for w in newcand if w not in state.cand]
     new: dict[int, dict[int, Length]] = {}
     for u in survivors:
         rowu = old[u]
@@ -231,8 +238,10 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
                 d = duv + dv[y]
             nrow[y] = d
         new[u] = nrow
-    for i, w in enumerate(adopted):
-        adj_w = state.g.neighbor_set(w)
+    neighbor_sets = state.g._neighbor_sets
+    placed: list[int] = []
+    for w in adopted:
+        adj_w = neighbor_sets[w]
         roww: dict[int, Length] = {x: dv[x] + 1 for x in sol}
         roww[w] = 0
         roww[v] = 1
@@ -241,24 +250,28 @@ def update_dist(state: InducedEnumState, v: int, newcand: set[int]) -> dict[int,
             d = 1 if u in adj_w else rowu[v] + 1
             roww[u] = d
             rowu[w] = d
-        for w2 in adopted[:i]:
+        for w2 in placed:
             d = 1 if w2 in adj_w else 2  # otherwise they meet at v
             roww[w2] = d
             new[w2][w] = d
         new[w] = roww
+        placed.append(w)
     return new
 
 
 def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = None) -> InducedEnumState:
-    """Child state for solution S + {v}; the parent is left untouched."""
+    """Child state for solution S + {v}; the parent is left untouched.
+
+    The filter's survivors and v's adopted neighbours are built once each:
+    update_dist writes their rows from the two sets, and their union is cand.
+    """
     survivors = _split_old_candidates(state, v)
     if stats is not None:
         # below the root the filter decides every other candidate, at the root only v's neighbours
         stats.candidate_pairs += len(state.cand) - 1 if state.solution else len(survivors)
-    newcand = survivors | adopt_new_candidates(state, v)
-    return InducedEnumState(
-        state.g, state.k, state.solution | {v}, newcand, state.root_done, update_dist(state, v, newcand)
-    )
+    adopted = adopt_new_candidates(state, v)
+    dist = update_dist(state, v, survivors, adopted)
+    return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, state.root_done, dist)
 
 
 def exclude_candidate(state: InducedEnumState, v: int) -> None:

@@ -81,6 +81,23 @@ def test_enum_to_file_and_determinism(graph_file, tmp_path, capsys):
     assert len(out1.read_text().splitlines()) == 14
 
 
+def test_limit_reached_is_reported_on_stderr(graph_file, capsys):
+    # stdout keeps the count or the stream alone; stderr says the run may be a prefix
+    src = graph_file(to_edge_list(petersen_graph()))
+    notice = "limit of 5 solutions reached; more solutions may exist\n"
+    assert run_cli(["count", "--graph", src, "-k", "5", "--limit", "5"]) == EXIT_OK
+    assert capsys.readouterr() == ("5\n", notice)
+    assert run_cli(["enum", "--graph", src, "-k", "5", "--limit", "5"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 5 and err == notice
+    assert run_cli(["count", "--graph", src, "-k", "5"]) == EXIT_OK
+    full = int(capsys.readouterr().out)
+    for limit in (None, full + 1):
+        extra = [] if limit is None else ["--limit", str(limit)]
+        assert run_cli(["count", "--graph", src, "-k", "5", *extra]) == EXIT_OK
+        assert capsys.readouterr() == (f"{full}\n", "")
+
+
 def test_unwritable_output_is_a_usage_error(graph_file, tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "out.txt"
     code = run_cli(["enum", "--graph", graph_file(K3), "-k", "4", "--output", str(target)])

@@ -209,6 +209,22 @@ def test_every_engine_rejects_a_negative_limit(run):
         run(cycle_graph(5))
 
 
+@pytest.mark.parametrize("run", [
+    lambda g, sink: enumerate_baseline(g, EnumConfig(k=5, mode="induced"), sink),
+    lambda g, sink: enumerate_baseline(g, EnumConfig(k=5, mode="edge"), sink),
+    lambda g, sink: enumerate_induced_fast(g, 5, sink),
+    lambda g, sink: enumerate_edges_fast(g, 5, sink),
+    lambda g, sink: enumerate_edges_fast(g, 5, sink, connectivity="any"),
+], ids=["baseline-induced", "baseline-edge", "induced_fast", "edges_fast", "edges_fast-any"])
+def test_every_engine_emits_frozensets(run):
+    # the driver hands each state's solution to the sink as it is, so every
+    # engine must store it frozen
+    seen = []
+    count = run(cycle_graph(5), lambda solution, ordinal: seen.append(solution))
+    assert count == len(seen) > 1
+    assert all(type(solution) is frozenset for solution in seen)
+
+
 def test_brute_force_limit_is_exact():
     g = cycle_graph(4)
     assert brute_force_enumerate(g, EnumConfig(k=4, limit=0)) == []

@@ -327,6 +327,23 @@ def test_dist_table_has_candidate_rows_only():
         assert enumerate_induced_fast(g, 5, on_state=check) == seen
 
 
+def test_each_step_writes_exactly_the_candidate_rows():
+    # a fresh state has no exclusions yet, so its rows are exactly its cand:
+    # one per survivor and one per adopted vertex, and none for anything else
+    rng = random.Random(12)
+    n = 12
+    rand12 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    for g in (petersen_graph(), rand12):
+        seen = 0
+
+        def check(st):
+            nonlocal seen
+            seen += 1
+            assert set(st.dist) == st.cand, f"S={sorted(st.solution)}"
+
+        assert enumerate_induced_fast(g, 5, on_state=check) == seen
+
+
 def test_advance_leaves_the_parent_untouched():
     for g, k in [(petersen_graph(), 5), (REGIME_FIXTURE, 5), (complete_graph(5), 3), (cycle_graph(6), INFINITE)]:
         enumerate_induced_fast(
