@@ -11,9 +11,11 @@ import time
 from dataclasses import dataclass
 
 from .edges_fast import EdgeRunStats, enumerate_edges_fast
-from .enum_core import EnumConfig, _brute_force_total, _solution_ok, brute_force_enumerate
+from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate, brute_force_total
 from .graph import Graph, INFINITE, Length
 from .induced_fast import InducedRunStats, enumerate_induced_fast
+
+BENCH_MAX_EXPONENT = 28  # bench_compare's brute force refuses more than 2**28 subsets
 
 
 @dataclass
@@ -65,7 +67,7 @@ def bench_compare(
     mode: str = "edge",
     limit: int | None = None,
     graph_desc: str | None = None,
-    max_exponent: int = 28,
+    max_exponent: int = BENCH_MAX_EXPONENT,
 ) -> BenchReport:
     """Run the fast engine and the brute-force filter on identical input.
 
@@ -78,7 +80,7 @@ def bench_compare(
     """
     cfg = EnumConfig(k=k, mode=mode, limit=limit)
     cfg.validate(g)
-    _brute_force_total(g, mode, max_exponent)  # refuse before the fast run stores every solution
+    brute_force_total(g.n, g.m, mode, max_exponent)  # refuse before the fast run stores every solution
     desc = graph_desc or repr(g)
 
     max_delay = 0.0

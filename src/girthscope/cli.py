@@ -6,9 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import bench_compare
+from .bench import BENCH_MAX_EXPONENT, bench_compare
 from .edges_fast import enumerate_edges_fast
-from .enum_core import EnumConfig, enumerate_baseline, validate_threshold
+from .enum_core import EnumConfig, brute_force_total, enumerate_baseline, validate_threshold
 from .errors import BudgetExceededError, GirthscopeError, ParseError, ValidationError
 from .extremal import densest_girth_graphs, format_extremal_report
 from .girth import girth_unweighted, girth_weighted
@@ -173,8 +173,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.complete is not None:
-        g = complete_graph(args.complete)
-        desc = f"K_{args.complete}"
+        n = args.complete
+        brute_force_total(n, n * (n - 1) // 2, args.mode, BENCH_MAX_EXPONENT)  # refuse before building K_N
+        g = complete_graph(n)
+        desc = f"K_{n}"
     else:
         g = _load_graph(args)
         desc = args.graph

@@ -32,9 +32,9 @@ its table, and its dist is None.
 Done marks are a set only at the root; below it a mark is the edge's absence
 from the candidate sets. In the connected variant a mark made at a state A is
 on a candidate of A, so it touches V(S_A), which lies in V(S) below A. Only
-update_edge_cand's scan of a new vertex v adds candidates. A back edge {v, w}
-has been an outer candidate since w joined, unless it was marked; an edge to
-a fresh w touches no ancestor's V(S), so only a root mark can block it. The
+advance's scan of a new vertex v adds candidates. A back edge {v, w} has
+been an outer candidate since w joined, unless it was marked; an edge to a
+fresh w touches no ancestor's V(S), so only a root mark can block it. The
 non-connected variant never adds a candidate.
 """
 
@@ -189,69 +189,63 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
     return new
 
 
-def update_edge_cand(state: EdgeEnumState, e: int) -> tuple[set[int], set[int]]:
-    """(inner, outer) candidate sets after adding edge e.
+def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
+    """Child state for solution S + {e}; the parent is left untouched.
 
-    Inner e: outer candidates stay valid untouched (their loose endpoint still
-    has degree one, so they close no cycle) and the remaining inner ones are
-    re-validated in O(1) each by pair_girth_ok. Outer e = {u, v} with new
-    endpoint v: old candidates survive as they are, and each edge at v is
-    classified. An edge {v, w} back into the solution is unmarked iff it is
-    still an outer candidate (module docstring); then it closes a cycle of
-    length d[u][w] + 2 and becomes inner if that is long enough. An edge to
-    a fresh vertex becomes outer unless it is a root mark. From the empty
-    root both endpoints are new, and every edge at either of them except e
-    and the root marks becomes outer.
+    One pass per step kind builds the (inner, outer) candidate sets, and each
+    O(1) girth test is counted in pair_checks where it is made:
+    - inner e: outer candidates stay valid untouched (their loose endpoint
+      still has degree one, so they close no cycle) and the remaining inner
+      ones are re-validated in O(1) each by pair_girth_ok.
+    - the empty root: both endpoints are new, and every edge at either of
+      them except e and the root marks becomes outer.
+    - outer e = {u, v} with new endpoint v: old candidates survive as they
+      are, and each edge at v is classified. An edge {v, w} back into the
+      solution is unmarked iff it is still an outer candidate (module
+      docstring); then it closes a cycle of length d[u][w] + 2 and becomes
+      inner if that is long enough. An edge to a fresh vertex becomes outer
+      unless it is a root mark.
+    A child with no candidate is a leaf and gets no table.
     """
     g = state.g
     u, v, _ = g.edges[e]
     d = state.dist
     du = d.get(u)
+    root_blocked = state.root_blocked
     if du is not None and v in d:
         inner = {f for f in state.inner_cand if f != e and pair_girth_ok(state, e, f)}
-        return inner, set(state.outer_cand)
-    root_blocked = state.root_blocked
-    if not d:
-        outer = {fid for _, fid in g.adj[u] + g.adj[v] if fid not in root_blocked}
-        outer.discard(e)
-        return set(), outer
-    if du is None:
-        u, v = v, u
-        du = d[u]
-    inner = set(state.inner_cand)
-    outer = set(state.outer_cand)
-    outer.discard(e)
-    for w, fid in g.adj[v]:
-        if w in d:
-            if fid in outer:
-                outer.remove(fid)
-                if du[w] + 2 >= state.k:
-                    inner.add(fid)
-        elif fid not in root_blocked:
-            outer.add(fid)
-    return inner, outer
-
-
-def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
-    """Child state for solution S + {e}; the parent is left untouched.
-
-    A child with no candidate is a leaf and gets no table.
-    """
-    g = state.g
-    u, v, _ = g.edges[e]
-    if stats is not None:
-        d = state.dist
-        if u in d and v in d:
+        outer = set(state.outer_cand)
+        if stats is not None:
             stats.inner_picks += 1
-            stats.pair_checks += len(state.inner_cand) - 1  # pair_girth_ok calls
-        else:
+            stats.pair_checks += len(state.inner_cand) - 1  # one pair_girth_ok call per other inner candidate
+    elif not d:
+        inner = set()
+        outer = {f for _, f in g.adj[u] + g.adj[v] if f not in root_blocked}
+        outer.discard(e)
+        if stats is not None:
             stats.outer_picks += 1
-            # back-edge tests: the new vertex's edges still outer candidates, except e (none at the root)
-            back = g.adj[v if u in d else u]
-            stats.pair_checks += sum(w in d and f in state.outer_cand for w, f in back) - bool(d)
-    inner, outer = update_edge_cand(state, e)
+    else:
+        if du is None:
+            u, v = v, u
+            du = d[u]
+        inner = set(state.inner_cand)
+        outer = set(state.outer_cand)
+        outer.discard(e)
+        checks = 0
+        for w, f in g.adj[v]:
+            if w in d:
+                if f in outer:
+                    checks += 1
+                    outer.remove(f)
+                    if du[w] + 2 >= state.k:
+                        inner.add(f)
+            elif f not in root_blocked:
+                outer.add(f)
+        if stats is not None:
+            stats.outer_picks += 1
+            stats.pair_checks += checks
     dist = update_dist_s(state, e) if inner or outer else None
-    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, state.root_blocked, dist)
+    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, root_blocked, dist)
 
 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:

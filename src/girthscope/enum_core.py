@@ -265,9 +265,9 @@ def enumerate_baseline(
     )
 
 
-def _brute_force_total(g: Graph, mode: str, max_exponent: int) -> int:
-    """Element count brute force takes subsets of; past 2**max_exponent subsets it raises."""
-    total = g.n if mode == "induced" else g.m
+def brute_force_total(n: int, m: int, mode: str, max_exponent: int) -> int:
+    """Element count brute force takes subsets of, from n and m alone; past 2**max_exponent subsets it raises."""
+    total = n if mode == "induced" else m
     if total > max_exponent:
         raise BudgetExceededError(f"brute force over 2**{total} subsets exceeds the 2**{max_exponent} budget")
     return total
@@ -288,7 +288,7 @@ def brute_force_enumerate(
     cfg.validate(g)
     out: list[frozenset[int]] = []
     emitter = _Emitter(lambda solution, ordinal: out.append(solution), cfg.limit)
-    total = _brute_force_total(g, cfg.mode, max_exponent)
+    total = brute_force_total(g.n, g.m, cfg.mode, max_exponent)
     for mask in range(1 << total):
         members = {i for i in range(total) if mask >> i & 1}
         if not members and not cfg.include_empty:

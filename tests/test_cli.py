@@ -178,6 +178,16 @@ def test_budget_exit_code(graph_file, capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("mode", ["induced", "edge"])
+def test_bench_complete_refuses_from_n_before_building(mode, monkeypatch, capsys):
+    def no_build(n):
+        raise AssertionError(f"K_{n} was built")
+
+    monkeypatch.setattr("girthscope.cli.complete_graph", no_build)
+    assert run_cli(["bench", "--complete", "100000", "-k", "4", "--mode", mode]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_usage_exit_codes(capsys):
     assert run_cli(["count", "-k", "4"]) == EXIT_USAGE  # missing --graph
     assert run_cli(["bench", "-k", "4"]) == EXIT_USAGE  # neither --graph nor --complete

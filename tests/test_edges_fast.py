@@ -31,8 +31,8 @@ from girthscope.edges_fast import (
     initial_state,
     pair_girth_ok,
     update_dist_s,
-    update_edge_cand,
 )
+from girthscope.enum_core import search
 from girthscope.verify import random_corpus
 from _state_checks import (
     MarkRecorder,
@@ -84,19 +84,25 @@ def test_select_edge_rule():
         select_edge(st)
 
 
+def candidates_after(state, e):
+    """(inner, outer) candidate sets of the child S + {e}."""
+    child = advance(state, e)
+    return child.inner_cand, child.outer_cand
+
+
 def test_pair_girth_ok_examples():
-    # an outer e is priced by update_edge_cand: the back edges at its new vertex
+    # an outer e is priced by advance: the back edges at its new vertex
     k3 = complete_graph(3)
     st = seed_state(k3, 4, 0, set())  # S={e01}; adding e12 makes e02 close a triangle
-    inner, outer = update_edge_cand(st, 2)
+    inner, outer = candidates_after(st, 2)
     assert 1 not in inner and 1 not in outer  # cycle length 3 < 4
     st3 = seed_state(k3, 3, 0, set())
-    inner, outer = update_edge_cand(st3, 2)
+    inner, outer = candidates_after(st3, 2)
     assert 1 in inner  # 3 >= 3
 
     c4 = cycle_graph(4)  # edge ids: (0,1)=0, (1,2)=1, (2,3)=2, (0,3)=3
     st = drive(c4, 4, [0, 1])  # S={e01,e12}; adding e23 turns e30 inner
-    inner, outer = update_edge_cand(st, 2)
+    inner, outer = candidates_after(st, 2)
     assert 3 in inner  # cycle length 4 >= 4
 
 
@@ -135,17 +141,17 @@ def test_update_dist_s_monotone_on_inner():
                 assert nd[x][y] <= st.get_dist(x, y)
 
 
-def test_update_edge_cand_examples():
+def test_advance_candidate_examples():
     k3 = complete_graph(3)
     st4 = seed_state(k3, 4, 0, set())
-    inner, outer = update_edge_cand(st4, 1)  # outer edge (0,2) joins vertex 2
+    inner, outer = candidates_after(st4, 1)  # outer edge (0,2) joins vertex 2
     assert inner == set() and outer == set()  # e12 dies: triangle too short
     st3 = seed_state(k3, 3, 0, set())
-    inner, outer = update_edge_cand(st3, 1)
+    inner, outer = candidates_after(st3, 1)
     assert inner == {2} and outer == set()
 
     p3 = path_graph(3)
-    inner, outer = update_edge_cand(seed_state(p3, 4, 0, set()), 1)
+    inner, outer = candidates_after(seed_state(p3, 4, 0, set()), 1)
     assert inner == set() and outer == set()
 
     c4 = cycle_graph(4)
@@ -207,29 +213,6 @@ def test_state_fidelity_on_random_corpus():
             enumerate_edges_fast(g, k, on_state=lambda st: check_edge_state(g, k, st))
 
 
-def mini_dfs(g, k, on_transition):
-    """Reimplement the branching loop on the public ops, reporting each transition."""
-    blocked: set[int] = set()
-    stack = []
-    for root_edge in range(g.m):
-        child = seed_state(g, k, root_edge, blocked)
-        blocked.add(root_edge)
-        stack.append([child, sorted(child.inner_cand) + sorted(child.outer_cand), 0])
-        while stack:
-            frame = stack[-1]
-            state, order, i = frame
-            if i == len(order):
-                stack.pop()
-                continue
-            frame[2] += 1
-            e = order[i]
-            was_inner = e in state.inner_cand
-            nxt = advance(state, e)
-            on_transition(state, e, was_inner, nxt)
-            exclude_candidate(state, e)
-            stack.append([nxt, sorted(nxt.inner_cand) + sorted(nxt.outer_cand), 0])
-
-
 @pytest.mark.parametrize("g,k", [
     (complete_graph(4), 3),
     (complete_graph(4), 4),
@@ -238,7 +221,15 @@ def mini_dfs(g, k, on_transition):
     (Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)]), 4),
 ])
 def test_transition_invariants(g, k):
-    def on_transition(state, e, was_inner, nxt):
+    checked = 0
+
+    def checking_advance(state, e, stats=None):
+        nonlocal checked
+        nxt = advance(state, e, stats)
+        if not state.solution:  # a root child starts from no vertices: the rules below do not apply
+            return nxt
+        checked += 1
+        was_inner = e in state.inner_cand
         verts, next_verts = solution_vertices(state), solution_vertices(nxt)
         # inner pick: outer candidates untouched, inner set strictly shrinks
         if was_inner:
@@ -256,8 +247,10 @@ def test_transition_invariants(g, k):
         if added:
             (new_vertex,) = next_verts - verts
             assert len(added) <= g.degree(new_vertex)
+        return nxt
 
-    mini_dfs(g, k, on_transition)
+    search(initial_state(g, k), branch_order, checking_advance, exclude_candidate, None)
+    assert checked
 
 
 def test_deterministic_output():

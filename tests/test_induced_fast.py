@@ -249,19 +249,16 @@ def test_filter_decides_by_dist_plus_second_distance():
 
 
 def test_work_accounting_reported():
-    # per-solution work tracks the closed neighborhood size; the constant is
-    # printed for inspection, not asserted (wall-clock bounds are hardware
-    # dependent and the pair count is the machine-independent proxy)
+    # the filter decides few (candidate, added vertex) pairs per neighbourhood
+    # vertex, and N[S] is every vertex of K_n for a nonempty S. The pair count
+    # is the machine-independent proxy for work: K4-K6 read 0.18, 0.17, 0.15.
+    max_pairs_per_neighbourhood_vertex = 0.2
     for n in (4, 5, 6):
         stats = InducedRunStats()
         count = enumerate_induced_fast(complete_graph(n), 3, stats=stats)
         assert stats.iterations == count
-        neighborhood_total = (count - 1) * n  # N[S] is everything for nonempty S of K_n
-        ratio = stats.candidate_pairs / neighborhood_total
-        print(
-            f"K_{n} k=3: {count} solutions, {stats.candidate_pairs} candidate pairs touched, "
-            f"{ratio:.2f} pairs per neighborhood vertex, max depth {stats.max_depth}"
-        )
+        ratio = stats.candidate_pairs / ((count - 1) * n)
+        assert ratio <= max_pairs_per_neighbourhood_vertex, f"K_{n}: {ratio:.3f} pairs per neighbourhood vertex"
 
 
 def test_limit_stop_and_include_empty():
