@@ -4,9 +4,12 @@ Library surface for the four enumerators (baseline binary partition, fast
 induced, fast edge, brute-force oracle), girth, the densest-girth-k search,
 and the benchmark/verification harnesses. Engine states, run counters and
 corpus builders stay importable from their own modules.
+
+The harness names (BenchReport, bench_compare, run_verification) are loaded
+on first use, so importing the package compiles only what an enumeration
+needs.
 """
 
-from .bench import BenchReport, bench_compare
 from .edges_fast import enumerate_edges_fast
 from .enum_core import Collector, EnumConfig, SolutionSink, brute_force_enumerate, enumerate_baseline
 from .errors import BudgetExceededError, GirthscopeError, ParseError, ValidationError
@@ -28,7 +31,6 @@ from .graph import (
     to_edge_list,
 )
 from .induced_fast import enumerate_induced_fast
-from .verify import run_verification
 
 __version__ = "0.1.0"
 
@@ -66,3 +68,13 @@ __all__ = [
     "run_verification",
     "to_edge_list",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("BenchReport", "bench_compare"):
+        from . import bench as module
+    elif name == "run_verification":
+        from . import verify as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

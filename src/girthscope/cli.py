@@ -6,7 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BENCH_MAX_EXPONENT, bench_compare
 from .edges_fast import enumerate_edges_fast
 from .enum_core import EnumConfig, brute_force_total, enumerate_baseline, validate_threshold
 from .errors import BudgetExceededError, GirthscopeError, ParseError, ValidationError
@@ -14,7 +13,6 @@ from .extremal import densest_girth_graphs, format_extremal_report
 from .girth import girth_unweighted, girth_weighted
 from .graph import Graph, INFINITE, complete_graph, parse_dimacs, parse_edge_list
 from .induced_fast import enumerate_induced_fast
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1  # verify or bench found solutions that differ
@@ -172,6 +170,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BENCH_MAX_EXPONENT, bench_compare
+
     if args.complete is not None:
         n = args.complete
         brute_force_total(n, n * (n - 1) // 2, args.mode, BENCH_MAX_EXPONENT)  # refuse before building K_N
@@ -190,6 +190,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     failures = run_verification(random_count=args.random_count, seed=args.seed, report=print)
     return EXIT_DISCREPANCY if failures else EXIT_OK
 

@@ -41,20 +41,26 @@ non-connected variant never adds a candidate.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .enum_core import CONNECTIVITIES, SolutionSink, search, validate_fast_input
 from .errors import ValidationError
 from .graph import Graph, INFINITE, Length
 
 
-@dataclass
 class EdgeRunStats:
-    iterations: int = 0
-    max_depth: int = 0
-    inner_picks: int = 0
-    outer_picks: int = 0
-    pair_checks: int = 0  # O(1) girth tests: pair_girth_ok calls, back-edge and join tests
+    def __init__(
+        self,
+        iterations: int = 0,
+        max_depth: int = 0,
+        inner_picks: int = 0,
+        outer_picks: int = 0,
+        pair_checks: int = 0,
+    ):
+        self.iterations = iterations
+        self.max_depth = max_depth
+        self.inner_picks = inner_picks
+        self.outer_picks = outer_picks
+        self.pair_checks = pair_checks  # O(1) girth tests: pair_girth_ok calls, back-edge and join tests
 
 
 class EdgeEnumState:

@@ -9,7 +9,6 @@ runs that loop; the engines differ only in how a child state is built.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import BudgetExceededError, ValidationError
@@ -24,7 +23,6 @@ MODES = ("induced", "edge")
 CONNECTIVITIES = ("connected", "any")
 
 
-@dataclass
 class EnumConfig:
     """What to enumerate: girth threshold, element kind, and problem variant.
 
@@ -33,12 +31,21 @@ class EnumConfig:
     girth as the only condition.
     """
 
-    k: Length
-    mode: str = "induced"
-    connectivity: str = "connected"
-    include_empty: bool = True
-    limit: int | None = None
-    weighted: bool = False
+    def __init__(
+        self,
+        k: Length,
+        mode: str = "induced",
+        connectivity: str = "connected",
+        include_empty: bool = True,
+        limit: int | None = None,
+        weighted: bool = False,
+    ):
+        self.k = k
+        self.mode = mode
+        self.connectivity = connectivity
+        self.include_empty = include_empty
+        self.limit = limit
+        self.weighted = weighted
 
     def validate(self, g: Graph) -> None:
         if self.mode not in MODES:
@@ -62,13 +69,13 @@ def validate_fast_input(g: Graph, k: Length) -> None:
         raise ValidationError("fast enumeration is unweighted; use the baseline engine")
 
 
-@dataclass
 class BaselineState:
     """One iteration of the baseline engine: frozen solution, done-set mask, sorted candidates."""
 
-    solution: frozenset[int]
-    excluded: set[int]
-    cands: list[int] = field(default_factory=list)
+    def __init__(self, solution: frozenset[int], excluded: set[int], cands: list[int] | None = None):
+        self.solution = solution
+        self.excluded = excluded
+        self.cands = [] if cands is None else cands
 
 
 class Collector:
@@ -187,39 +194,39 @@ def search(
     `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
+    emit = emitter.emit
     if stats is not None:
         stats.iterations += 1
         stats.max_depth = max(stats.max_depth, 1)
     if on_state is not None:
         on_state(root)
-    if include_empty and not emitter.emit(frozenset()):
+    if include_empty and not emit(frozenset()):
         return emitter.count
+    # each frame is (state, iterator over the elements it has still to branch on)
     stack = []
     todo = order(root)
     if todo and (prune is None or not prune(root)):
-        stack.append([root, todo, 0])
+        stack.append((root, iter(todo)))
     while stack:
-        frame = stack[-1]
-        state, todo, i = frame
-        if i == len(todo):
+        state, it = stack[-1]
+        for x in it:
+            child = advance(state, x, stats)
+            exclude(state, x)
+            if stats is not None:
+                stats.iterations += 1
+                depth = len(stack) + 1
+                if depth > stats.max_depth:
+                    stats.max_depth = depth
+            if on_state is not None:
+                on_state(child)
+            if not emit(child.solution):
+                return emitter.count
+            todo = order(child)
+            if todo and (prune is None or not prune(child)):
+                stack.append((child, iter(todo)))
+                break
+        else:
             stack.pop()
-            continue
-        frame[2] += 1
-        x = todo[i]
-        child = advance(state, x, stats)
-        exclude(state, x)
-        if stats is not None:
-            stats.iterations += 1
-            depth = len(stack) + 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-        if on_state is not None:
-            on_state(child)
-        if not emitter.emit(child.solution):
-            break
-        todo = order(child)
-        if todo and (prune is None or not prune(child)):
-            stack.append([child, todo, 0])
     return emitter.count
 
 

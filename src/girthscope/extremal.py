@@ -7,7 +7,6 @@ connected_only=False it runs the same engine in the non-connected variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .edges_fast import EdgeEnumState, enumerate_edges_fast
@@ -18,17 +17,26 @@ from .errors import ValidationError
 from .graph import Graph, INFINITE, Length, complete_graph
 
 
-@dataclass
 class ExtremalResult:
     """Densest n-vertex graphs of girth >= k found by the search."""
 
-    n: int
-    k: Length
-    max_edges: int
-    witnesses: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
-    explored: int = 0
-    complete: bool = True
-    connected_only: bool = True
+    def __init__(
+        self,
+        n: int,
+        k: Length,
+        max_edges: int,
+        witnesses: list[tuple[tuple[int, int], ...]] | None = None,
+        explored: int = 0,
+        complete: bool = True,
+        connected_only: bool = True,
+    ):
+        self.n = n
+        self.k = k
+        self.max_edges = max_edges
+        self.witnesses = [] if witnesses is None else witnesses
+        self.explored = explored
+        self.complete = complete
+        self.connected_only = connected_only
 
 
 def densest_girth_graphs(
@@ -66,25 +74,21 @@ def densest_girth_graphs(
             witnesses.append(solution)
 
     if connected_only:
-        edges = g.edges
 
         def prune(state: EdgeEnumState) -> bool:
             # Optimistic reachable size: current solution, live candidates, and
-            # edges not yet touching the solution (an outer step can still turn
+            # the unmarked pairs of fresh vertices (an outer step can still turn
             # those into candidates; edges that touched and dropped out are
-            # dead for good, since girth only decreases along a branch).
-            # A mark made below the root was a candidate of an ancestor, so it
-            # touches the solution; the untouched unblocked edges are then the
-            # pairs of fresh vertices minus the root marks among them. search
-            # asks only about states that branch, and those hold a table whose
-            # keys are the solution's vertices.
+            # dead for good, since girth only decreases along a branch). Only
+            # root marks block a fresh pair, and the root branches on K_n's
+            # edges in ascending lexicographic id, so below root child {a, b}
+            # the marks are every edge {u, w} with u < a, plus {a, w} with
+            # w < b. a is then min V(S), and the unmarked fresh pairs are those
+            # among the fresh vertices above a. search asks only about states
+            # that branch, and those hold a table whose keys are V(S).
             d = state.dist
-            fresh = n - len(d)
+            fresh = n - len(d) - (min(d) if d else 0)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
-            for eid in state.root_blocked:
-                u, v, _ = edges[eid]
-                if u not in d and v not in d:
-                    reachable -= 1
             return reachable < best_size
 
         explored = enumerate_edges_fast(g, k, sink=sink, limit=limit, prune=prune)

@@ -44,19 +44,18 @@ a root mark can exclude it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .enum_core import SolutionSink, search, validate_fast_input
 from .graph import Graph, INFINITE, Length
 
 
-@dataclass
 class InducedRunStats:
     """Counters for one enumeration run (work accounting)."""
 
-    iterations: int = 0
-    max_depth: int = 0
-    candidate_pairs: int = 0  # (old candidate, added vertex) pairs the filter decided
+    def __init__(self, iterations: int = 0, max_depth: int = 0, candidate_pairs: int = 0):
+        self.iterations = iterations
+        self.max_depth = max_depth
+        self.candidate_pairs = candidate_pairs  # (old candidate, added vertex) pairs the filter decided
 
 
 class InducedEnumState:
@@ -264,13 +263,15 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
 
     The filter's survivors and v's adopted neighbours are built once each:
     update_dist writes their rows from the two sets, and their union is cand.
+    A child with neither is a leaf: search never branches on it or offers
+    it to prune, so it gets an empty table without a call.
     """
     survivors = _split_old_candidates(state, v)
     if stats is not None:
         # below the root the filter decides every other candidate, at the root only v's neighbours
         stats.candidate_pairs += len(state.cand) - 1 if state.solution else len(survivors)
     adopted = adopt_new_candidates(state, v)
-    dist = update_dist(state, v, survivors, adopted)
+    dist = update_dist(state, v, survivors, adopted) if survivors or adopted else {}
     return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, state.root_done, dist)
 
 
@@ -288,8 +289,9 @@ def exclude_candidate(state: InducedEnumState, v: int) -> None:
 
 
 def branch_order(state: InducedEnumState) -> list[int]:
-    """Candidates to branch on, in ascending id."""
-    return sorted(state.cand)
+    """Candidates to branch on, in ascending id; a leaf skips the sort."""
+    cand = state.cand
+    return sorted(cand) if cand else []
 
 
 def enumerate_induced_fast(

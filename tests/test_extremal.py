@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from girthscope import (
     girth_unweighted,
     path_graph,
 )
+from girthscope import extremal
 from girthscope.extremal import reduce_up_to_isomorphism
 from girthscope.verify import all_connected_graphs, random_corpus
 
@@ -176,6 +178,74 @@ A006856 = [0, 1, 2, 3, 5, 6, 8]
 def test_non_connected_maxima_match_known_values(n):
     assert densest_girth_graphs(n, 4, connected_only=False).max_edges == MANTEL[n - 1]
     assert densest_girth_graphs(n, 5, connected_only=False).max_edges == A006856[n - 1]
+
+
+def fresh_pairs_by_scan(state, n, edges):
+    """Unmarked pairs of vertices outside V(S), by scanning the root marks as the prune once did."""
+    d = state.dist
+    fresh = n - len(d)
+    pairs = fresh * (fresh - 1) // 2
+    for eid in state.root_blocked:
+        u, v, _ = edges[eid]
+        if u not in d and v not in d:
+            pairs -= 1
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 8))  # K_1 has no edge, so nothing is asked
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_connected_prune_counts_fresh_pairs_as_the_root_mark_scan(n, k, monkeypatch):
+    # the prune counts the unmarked fresh pairs as C(n - |V(S)| - min V(S), 2);
+    # on every state it is asked about, that count must equal the scan's, and
+    # its verdict must be the one the scan's count gives
+    edges = complete_graph(n).edges
+    engine = extremal.enumerate_edges_fast
+    asked = 0
+
+    def checked_engine(g, threshold, sink=None, *, prune, **kwargs):
+        best = -1
+
+        def tracking_sink(solution, ordinal):
+            nonlocal best
+            best = max(best, len(solution))
+            return sink(solution, ordinal)
+
+        def checked_prune(state):
+            nonlocal asked
+            asked += 1
+            d = state.dist
+            fresh = n - len(d) - (min(d) if d else 0)
+            scanned = fresh_pairs_by_scan(state, n, edges)
+            assert fresh * (fresh - 1) // 2 == scanned
+            live = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
+            verdict = prune(state)
+            assert verdict == (live + scanned < best)
+            return verdict
+
+        return engine(g, threshold, tracking_sink, prune=checked_prune, **kwargs)
+
+    monkeypatch.setattr(extremal, "enumerate_edges_fast", checked_engine)
+    densest_girth_graphs(n, k)
+    assert asked > 0
+
+
+# connected search on K_n: (max_edges, explored, witness count, crc32 of the
+# sorted witness list's repr)
+CONNECTED_SEARCHES = {
+    (5, 4): (6, 207, 10, 2482787208),
+    (6, 4): (9, 1388, 10, 3102815179),
+    (6, 5): (6, 2508, 420, 1629740444),
+    (7, 4): (12, 15798, 35, 1798344752),
+    (7, 5): (8, 31853, 1260, 532820118),
+    (7, 6): (7, 28394, 2880, 4063514657),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(CONNECTED_SEARCHES))
+def test_connected_search_explores_a_fixed_tree(n, k):
+    r = densest_girth_graphs(n, k)
+    got = (r.max_edges, r.explored, len(r.witnesses), zlib.crc32(repr(r.witnesses).encode()))
+    assert got == CONNECTED_SEARCHES[n, k]
 
 
 def test_densest_budget_flags_incomplete():
