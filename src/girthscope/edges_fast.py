@@ -29,13 +29,16 @@ A table is built when its state is, unless the state has no candidate: such a
 leaf never branches and search never offers it to prune, so nothing reads
 its table, and its dist is None.
 
-Done marks are a set only at the root; below it a mark is the edge's absence
-from the candidate sets. In the connected variant a mark made at a state A is
-on a candidate of A, so it touches V(S_A), which lies in V(S) below A. Only
-advance's scan of a new vertex v adds candidates. A back edge {v, w} has
-been an outer candidate since w joined, unless it was marked; an edge to a
-fresh w touches no ancestor's V(S), so only a root mark can block it. The
-non-connected variant never adds a candidate.
+No state holds a set of done marks. The root branches on every edge in
+ascending id, so below root child first the root marks are the ids below
+it, and a state keeps only first = min(S). Below the root a mark is the
+edge's absence from the candidate sets. In the connected variant a mark
+made at a state A is on a candidate of A, so it touches V(S_A), which lies
+in V(S) below A. Only advance's scan of a new vertex v adds candidates. A
+back edge {v, w} has been an outer candidate since w joined, unless it was
+marked; an edge to a fresh w touches no ancestor's V(S), so only a root
+mark, an id below first, can block it. The non-connected variant never
+adds a candidate.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class EdgeRunStats:
 class EdgeEnumState:
     """Per-iteration state: edge solution, inner/outer candidates, within-solution distances.
 
-    root_blocked holds the root edges already branched on, shared by every
-    state of one run; below the root no state holds a set of marks.
+    first is the edge the root branched on, min(S), and -1 at the root; the
+    root marks this state inherited are the ids below it.
 
     solution is a frozenset, so emitting it copies nothing.
 
@@ -85,26 +88,21 @@ class EdgeEnumState:
     and a row of dist holds only the vertices of its own component.
     """
 
-    __slots__ = ("g", "k", "solution", "inner_cand", "outer_cand", "root_blocked", "dist")
+    __slots__ = ("g", "k", "solution", "inner_cand", "outer_cand", "first", "dist")
 
-    def __init__(self, g, k, solution, inner_cand, outer_cand, root_blocked, dist):
+    def __init__(self, g, k, solution, inner_cand, outer_cand, first, dist):
         self.g = g
         self.k = k
         self.solution = solution
         self.inner_cand = inner_cand
         self.outer_cand = outer_cand
-        self.root_blocked = root_blocked
+        self.first = first
         self.dist = dist
 
     @property
-    def blocked(self) -> set[int]:
-        """Root marks this state inherited, as a fresh set (O(m); a read-only view the engine never builds).
-
-        The driver marks a root edge only after advancing the root on it, and
-        that edge is in every solution of the subtree below, so subtracting
-        the solution leaves exactly the marks the root child saw.
-        """
-        return self.root_blocked - self.solution
+    def blocked(self) -> range:
+        """Ids of the root marks this state inherited, a view the engine never reads; at the root, its branched edges."""
+        return range(self.first if self.solution else self.g.m - len(self.outer_cand))
 
     @property
     def cand(self) -> set[int]:
@@ -120,7 +118,7 @@ class EdgeEnumState:
 
 def initial_state(g: Graph, k: Length) -> EdgeEnumState:
     """State for the empty solution: no vertices, every edge an outer candidate."""
-    return EdgeEnumState(g, k, frozenset(), set(), set(range(g.m)), set(), {})
+    return EdgeEnumState(g, k, frozenset(), set(), set(range(g.m)), -1, {})
 
 
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
@@ -204,20 +202,20 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
       still has degree one, so they close no cycle) and the remaining inner
       ones are re-validated in O(1) each by pair_girth_ok.
     - the empty root: both endpoints are new, and every edge at either of
-      them except e and the root marks becomes outer.
+      them with an id above e, the child's first, becomes outer.
     - outer e = {u, v} with new endpoint v: old candidates survive as they
       are, and each edge at v is classified. An edge {v, w} back into the
       solution is unmarked iff it is still an outer candidate (module
       docstring); then it closes a cycle of length d[u][w] + 2 and becomes
       inner if that is long enough. An edge to a fresh vertex becomes outer
-      unless it is a root mark.
+      iff its id is above first.
     A child with no candidate is a leaf and gets no table.
     """
     g = state.g
     u, v, _ = g.edges[e]
     d = state.dist
     du = d.get(u)
-    root_blocked = state.root_blocked
+    first = state.first
     if du is not None and v in d:
         inner = {f for f in state.inner_cand if f != e and pair_girth_ok(state, e, f)}
         outer = set(state.outer_cand)
@@ -225,9 +223,9 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
             stats.inner_picks += 1
             stats.pair_checks += len(state.inner_cand) - 1  # one pair_girth_ok call per other inner candidate
     elif not d:
+        first = e
         inner = set()
-        outer = {f for _, f in g.adj[u] + g.adj[v] if f not in root_blocked}
-        outer.discard(e)
+        outer = {f for _, f in g.adj[u] + g.adj[v] if f > e}
         if stats is not None:
             stats.outer_picks += 1
     else:
@@ -245,25 +243,23 @@ def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> 
                     outer.remove(f)
                     if du[w] + 2 >= state.k:
                         inner.add(f)
-            elif f not in root_blocked:
+            elif f > first:
                 outer.add(f)
         if stats is not None:
             stats.outer_picks += 1
             stats.pair_checks += checks
     dist = update_dist_s(state, e) if inner or outer else None
-    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, root_blocked, dist)
+    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, first, dist)
 
 
 def exclude_candidate(state: EdgeEnumState, e: int) -> None:
     """Drop e from this iteration's remaining subtree (the done-set step).
 
-    Below the root, dropping e from the candidate sets is the whole mark
-    (module docstring); at the root it also goes to root_blocked.
+    Dropping e from the candidate sets is the whole mark, at the root too
+    (module docstring).
     """
     state.inner_cand.discard(e)
     state.outer_cand.discard(e)
-    if not state.solution:
-        state.root_blocked.add(e)
 
 
 def branch_order(state: EdgeEnumState) -> list[int]:
@@ -321,7 +317,7 @@ def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None)
             # every candidate the loop tested left outer, and none was added
             stats.pair_checks += len(state.outer_cand) - (e in state.outer_cand) - len(outer)
     dist = update_dist_s(state, e) if inner or outer else None
-    return EdgeEnumState(g, k, state.solution | {e}, inner, outer, state.root_blocked, dist)
+    return EdgeEnumState(g, k, state.solution | {e}, inner, outer, state.first if state.solution else e, dist)
 
 
 def branch_order_any(state: EdgeEnumState) -> list[int]:

@@ -13,8 +13,10 @@ from .edges_fast import EdgeEnumState, enumerate_edges_fast
 # perfbench/harness.py times the searches by replacing the engine names of
 # this module, enumerate_baseline included, though no search here runs it
 from .enum_core import enumerate_baseline, validate_threshold  # noqa: F401
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .graph import Graph, INFINITE, Length, complete_graph
+
+EXTREMAL_MAX_VERTICES = 1_000  # K_n grows as n^2: building K_1000 peaks at about 280 MB RSS on CPython 3.11
 
 
 class ExtremalResult:
@@ -54,9 +56,12 @@ def densest_girth_graphs(
     maximum (ties are still explored, so every witness is found). `limit`
     caps the number of solutions explored, as the engines' limit does; hitting
     it flags the result incomplete. Witnesses are distinct labelings unless reduce_isomorphic.
+    An n above EXTREMAL_MAX_VERTICES raises BudgetExceededError before K_n is built.
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
+    if n > EXTREMAL_MAX_VERTICES:
+        raise BudgetExceededError(f"the search over K_{n} exceeds the {EXTREMAL_MAX_VERTICES}-vertex budget")
     if reduce_isomorphic and n > 8:
         raise ValidationError("isomorphism reduction is only supported for n <= 8")
     validate_threshold(k)
@@ -80,14 +85,13 @@ def densest_girth_graphs(
             # the unmarked pairs of fresh vertices (an outer step can still turn
             # those into candidates; edges that touched and dropped out are
             # dead for good, since girth only decreases along a branch). Only
-            # root marks block a fresh pair, and the root branches on K_n's
-            # edges in ascending lexicographic id, so below root child {a, b}
-            # the marks are every edge {u, w} with u < a, plus {a, w} with
-            # w < b. a is then min V(S), and the unmarked fresh pairs are those
-            # among the fresh vertices above a. search asks only about states
-            # that branch, and those hold a table whose keys are V(S).
+            # root marks, the ids below first = {a, b}, block a fresh pair; K_n
+            # numbers its edges in lexicographic order, so they are every {u, w}
+            # with u < a, plus {a, w} with w < b, and the unmarked fresh pairs
+            # are those among the fresh vertices above a = min V(S). search asks
+            # only about states that branch, whose table keys are V(S).
             d = state.dist
-            fresh = n - len(d) - (min(d) if d else 0)
+            fresh = n - len(d) - (g.edges[state.first][0] if d else 0)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
             return reachable < best_size
 

@@ -33,12 +33,14 @@ cand: its row and column stay in the table, unread, because every later read
 is keyed by a current candidate. Entries outside the scope are INFINITE by
 convention.
 
-Done marks are a set only at the root. Below it a vertex outside S and cand
-is excluded (done or girth-dropped) iff it has a neighbour in S: it became a
-candidate when its first S-neighbour joined, unless already excluded, and
-only exclusion removes a candidate; with no S-neighbour it was in no
-ancestor's cand, since every candidate below the root attaches to S, so only
-a root mark can exclude it.
+No state holds a set of done marks. The root branches on every vertex in
+ascending id, so below root child first the root marks are the ids below
+it, and a state keeps only first = min(S). Below the root a vertex outside
+S and cand is excluded iff it has a neighbour in S or an id below first:
+it became a candidate when its first S-neighbour joined, unless already
+excluded, and only exclusion removes a candidate; with no S-neighbour it
+was in no ancestor's cand, since every candidate below the root attaches
+to S, so only a root mark can exclude it.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ class InducedRunStats:
 
 
 class InducedEnumState:
-    """Per-iteration state: solution, candidate set, root marks, distance table.
+    """Per-iteration state: solution, candidate set, root-mark bound, distance table.
 
     solution is a frozenset, so emitting it copies nothing.
 
-    root_done holds the marks made at the empty-solution root, shared by every
-    state of one run; below the root no state holds a set of marks.
+    first is the vertex the root branched on, min(S), and -1 at the root; the
+    root marks this state inherited are the ids below it.
 
     dist is a dict of dicts holding finite entries only, never changed once
     built. It has one row per candidate, with solution and candidate columns,
@@ -75,14 +77,14 @@ class InducedEnumState:
     derive it from the distance rows, by the first-hop rule the filter uses.
     """
 
-    __slots__ = ("g", "k", "solution", "cand", "root_done", "dist")
+    __slots__ = ("g", "k", "solution", "cand", "first", "dist")
 
-    def __init__(self, g, k, solution, cand, root_done, dist):
+    def __init__(self, g, k, solution, cand, first, dist):
         self.g = g
         self.k = k
         self.solution = solution
         self.cand = cand
-        self.root_done = root_done
+        self.first = first
         self.dist = dist
 
     @property
@@ -126,7 +128,7 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
         for nb in g.neighbors(v):
             row[nb] = 1
         dist[v] = row
-    return InducedEnumState(g, k, frozenset(), set(range(g.n)), set(), dist)
+    return InducedEnumState(g, k, frozenset(), set(range(g.n)), -1, dist)
 
 
 def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict[int, Length]) -> Length:
@@ -185,16 +187,16 @@ def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
 
     A cycle through such a vertex would need two of its neighbors inside the
     new solution, so girth is preserved automatically and no test is needed.
-    Outside S and cand, they are the ones with no root mark and no
-    neighbour in S (module docstring).
+    Outside S and cand, they are the ones with an id above the child's first
+    (v at the root) and no neighbour in S (module docstring).
     """
     sol = state.solution
     cand = state.cand
-    root_done = state.root_done
+    first = state.first if sol else v
     neighbor_sets = state.g._neighbor_sets
     adopted: set[int] = set()
     for w in state.g._neighbors[v]:
-        if w not in sol and w not in cand and w not in root_done and neighbor_sets[w].isdisjoint(sol):
+        if w > first and w not in sol and w not in cand and neighbor_sets[w].isdisjoint(sol):
             adopted.add(w)
     return adopted
 
@@ -272,20 +274,18 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
         stats.candidate_pairs += len(state.cand) - 1 if state.solution else len(survivors)
     adopted = adopt_new_candidates(state, v)
     dist = update_dist(state, v, survivors, adopted) if survivors or adopted else {}
-    return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, state.root_done, dist)
+    first = state.first if state.solution else v
+    return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, first, dist)
 
 
 def exclude_candidate(state: InducedEnumState, v: int) -> None:
     """Drop v from this iteration's remaining subtree (the done-set step).
 
-    Below the root, dropping v from cand is the whole mark (module
-    docstring); at the root it also goes to root_done. The table is not
-    touched: every later read is keyed by a current candidate, so v's row
-    and column are never read again.
+    Dropping v from cand is the whole mark, at the root too (module
+    docstring). The table is not touched: every later read is keyed by a
+    current candidate, so v's row and column are never read again.
     """
     state.cand.discard(v)
-    if not state.solution:
-        state.root_done.add(v)
 
 
 def branch_order(state: InducedEnumState) -> list[int]:
@@ -309,9 +309,8 @@ def enumerate_induced_fast(
     Same solution set as the baseline engine in connected induced mode, but
     candidate sets are maintained incrementally. Each recursion level owns its
     candidate set and distance table, so backtracking needs no undo; the
-    root's exclusion marks are shared by every state below it, which is exact
-    because a subtree is finished before the root marks its next vertex.
-    Returns the number of solutions emitted.
+    root's exclusion marks are the ids below the vertex it branched on, which
+    each state keeps as one integer. Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
     return search(

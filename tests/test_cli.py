@@ -188,6 +188,19 @@ def test_bench_complete_refuses_from_n_before_building(mode, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--any"], ["--reduce-iso"]])
+def test_extremal_refuses_from_n_before_building(flags, monkeypatch, capsys):
+    def no_build(n):
+        raise AssertionError(f"K_{n} was built")
+
+    monkeypatch.setattr("girthscope.extremal.complete_graph", no_build)
+    assert run_cli(["extremal", "-n", "100000", "-k", "5", "--limit", "1"] + flags) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert run_cli(["extremal", "-n", "1001", "-k", "5"]) == EXIT_BUDGET  # the first n over the budget
+    with pytest.raises(AssertionError, match="K_1000 was built"):
+        run_cli(["extremal", "-n", "1000", "-k", "5"])
+
+
 def test_usage_exit_codes(capsys):
     assert run_cli(["count", "-k", "4"]) == EXIT_USAGE  # missing --graph
     assert run_cli(["bench", "-k", "4"]) == EXIT_USAGE  # neither --graph nor --complete

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthscope import (
@@ -23,6 +24,7 @@ from girthscope import (
     enumerate_edges_fast,
     enumerate_induced_fast,
 )
+from girthscope import edges_fast, induced_fast
 from _state_checks import check_edge_state, check_induced_state
 
 THRESHOLDS = st.sampled_from([3, 4, 5, 6, 7, INFINITE])
@@ -75,3 +77,34 @@ def test_edge_engines_agree_without_connectivity(g, k):
     assert len(set(fast)) == len(fast)
     assert fast == solutions(enumerate_baseline, g, cfg)  # both branch in ascending id order
     assert set(fast) == set(brute_force_enumerate(g, cfg))
+
+
+# (engine, root order, engine options) per engine and edge variant
+ROOT_BOUND_RUNS = {
+    "induced": (enumerate_induced_fast, induced_fast.branch_order, {}),
+    "edge": (enumerate_edges_fast, edges_fast.branch_order, {"connectivity": "connected"}),
+    "edge-any": (enumerate_edges_fast, edges_fast.branch_order_any, {"connectivity": "any"}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ROOT_BOUND_RUNS))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(g=simple_graphs(max_m=EDGE_MODE_MAX_M), k=THRESHOLDS)
+def test_root_marks_are_the_ids_below_first(variant, g, k):
+    # the engines keep the root marks as one bound, first: the root must
+    # branch on every element in ascending id, and below it first must be
+    # min(S), with every candidate's id above it
+    engine, order, kwargs = ROOT_BOUND_RUNS[variant]
+    total = g.m if kwargs else g.n
+    below_root = 0
+
+    def check(state):
+        nonlocal below_root
+        if not state.solution:
+            assert state.first == -1 and order(state) == list(range(total))
+            return
+        below_root += 1
+        assert state.first == min(state.solution)
+        assert all(x > state.first for x in state.cand), f"cand {sorted(state.cand)} at S={sorted(state.solution)}"
+
+    assert engine(g, k, None, on_state=check, **kwargs) == below_root + 1

@@ -44,19 +44,14 @@ from _state_checks import (
 )
 
 
-def seed_state(g, k, eid, blocked):
-    """The single-edge state {eid}: the empty root advanced on eid, with `blocked` as its root marks.
-
-    The marks are shared by reference, so the caller may keep adding to them.
-    """
-    root = initial_state(g, k)
-    root.root_blocked = blocked
-    return advance(root, eid)
+def seed_state(g, k, eid):
+    """The single-edge state {eid}: the empty root advanced on eid, so the edges below eid are its root marks."""
+    return advance(initial_state(g, k), eid)
 
 
 def drive(g, k, edge_ids):
     """Seed on the first edge id, then advance through the rest."""
-    st = seed_state(g, k, edge_ids[0], set())
+    st = seed_state(g, k, edge_ids[0])
     for e in edge_ids[1:]:
         st = advance(st, e)
     return st
@@ -64,17 +59,17 @@ def drive(g, k, edge_ids):
 
 def test_seed_state_bootstrap():
     k3 = complete_graph(3)  # edge ids: (0,1)=0, (0,2)=1, (1,2)=2
-    st = seed_state(k3, 4, 0, set())
+    st = seed_state(k3, 4, 0)
     assert st.solution == {0} and solution_vertices(st) == {0, 1}
     assert st.inner_cand == set() and st.outer_cand == {1, 2}
     assert st.get_dist(0, 1) == 1
-    st2 = seed_state(k3, 4, 0, {1})
+    st2 = seed_state(k3, 4, 1)  # edge 0 is marked
     assert st2.outer_cand == {2}
 
 
 def test_select_edge_rule():
     k3 = complete_graph(3)
-    st = seed_state(k3, 3, 0, set())
+    st = seed_state(k3, 3, 0)
     assert select_edge(st) == 1  # lowest-id outer: the edge (0,2)
     st.inner_cand.add(2)
     assert select_edge(st) == 2  # inner takes priority
@@ -93,10 +88,10 @@ def candidates_after(state, e):
 def test_pair_girth_ok_examples():
     # an outer e is priced by advance: the back edges at its new vertex
     k3 = complete_graph(3)
-    st = seed_state(k3, 4, 0, set())  # S={e01}; adding e12 makes e02 close a triangle
+    st = seed_state(k3, 4, 0)  # S={e01}; adding e12 makes e02 close a triangle
     inner, outer = candidates_after(st, 2)
     assert 1 not in inner and 1 not in outer  # cycle length 3 < 4
-    st3 = seed_state(k3, 3, 0, set())
+    st3 = seed_state(k3, 3, 0)
     inner, outer = candidates_after(st3, 2)
     assert 1 in inner  # 3 >= 3
 
@@ -125,7 +120,7 @@ def test_update_dist_s_examples():
     assert newdist[0][2] == 1
 
     p3 = path_graph(3)
-    st = seed_state(p3, 4, 0, set())
+    st = seed_state(p3, 4, 0)
     newdist = update_dist_s(st, 1)  # outer edge (1,2)
     assert newdist[0][2] == 2 and newdist[2][2] == 0
 
@@ -143,15 +138,15 @@ def test_update_dist_s_monotone_on_inner():
 
 def test_advance_candidate_examples():
     k3 = complete_graph(3)
-    st4 = seed_state(k3, 4, 0, set())
+    st4 = seed_state(k3, 4, 0)
     inner, outer = candidates_after(st4, 1)  # outer edge (0,2) joins vertex 2
     assert inner == set() and outer == set()  # e12 dies: triangle too short
-    st3 = seed_state(k3, 3, 0, set())
+    st3 = seed_state(k3, 3, 0)
     inner, outer = candidates_after(st3, 1)
     assert inner == {2} and outer == set()
 
     p3 = path_graph(3)
-    inner, outer = candidates_after(seed_state(p3, 4, 0, set()), 1)
+    inner, outer = candidates_after(seed_state(p3, 4, 0), 1)
     assert inner == set() and outer == set()
 
     c4 = cycle_graph(4)

@@ -185,7 +185,7 @@ def fresh_pairs_by_scan(state, n, edges):
     d = state.dist
     fresh = n - len(d)
     pairs = fresh * (fresh - 1) // 2
-    for eid in state.root_blocked:
+    for eid in range(state.first + 1):
         u, v, _ = edges[eid]
         if u not in d and v not in d:
             pairs -= 1
