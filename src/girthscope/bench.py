@@ -79,7 +79,7 @@ def bench_compare(
     fast solution is re-checked from scratch instead.
     """
     cfg = EnumConfig(k=k, mode=mode, limit=limit)
-    cfg.validate(g)
+    cfg.validate()
     brute_force_total(g.n, g.m, mode, max_exponent)  # refuse before the fast run stores every solution
     desc = graph_desc or repr(g)
 

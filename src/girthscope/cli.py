@@ -105,7 +105,6 @@ def _run_enumeration(args, g: Graph, sink) -> int:
         connectivity=args.connectivity,
         include_empty=not args.no_empty,
         limit=args.limit,
-        weighted=getattr(args, "weighted", False),
     )
     if args.algorithm == "baseline":
         return enumerate_baseline(g, cfg, sink)
@@ -124,7 +123,7 @@ def _report_limit(args, count: int) -> None:
 
 def _cmd_girth(args) -> int:
     g = _load_graph(args)
-    value = girth_weighted(g) if args.weighted else girth_unweighted(g)
+    value = girth_weighted(g) if g.weighted else girth_unweighted(g)
     print("inf" if value == INFINITE else int(value))
     return EXIT_OK
 

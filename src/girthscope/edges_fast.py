@@ -146,10 +146,10 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
       x is at least 2 closer to u than to v and y at least 2 closer to v than
       to u. Only the rows of those x and y are copied and relaxed, in both
       orientations; each of them changes, at column v or u.
-    - neither endpoint has a row: e starts a component of its own.
     - one endpoint is fresh: it hangs off the other's component, so each row
       there gains one column at d[x][u] + 1. In the connected variant that
-      component is the whole table.
+      component is the whole table. When both are fresh, u first becomes a
+      one-vertex component, {u: 0}, and v hangs off it.
     - otherwise e joins two components, and each cross pair x, y gets
       d[x][u] + 1 + d[v][y].
     """
@@ -174,10 +174,9 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
         return new
     if du is None:
         if dv is None:
-            new[u] = {u: 0, v: 1}
-            new[v] = {v: 0, u: 1}
-            return new
-        v, du = u, dv
+            du = new[u] = {u: 0}
+        else:
+            v, du = u, dv
     elif dv is not None:
         for near, far in ((du, dv), (dv, du)):
             for x, dx in near.items():
@@ -188,7 +187,7 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
         return new
     vrow = new[v] = {v: 0}
     for x, dx in du.items():
-        row = new[x] = dict(old[x])
+        row = new[x] = dict(new[x])
         row[v] = vrow[x] = dx + 1
     return new
 

@@ -26,9 +26,9 @@ CONNECTIVITIES = ("connected", "any")
 class EnumConfig:
     """What to enumerate: girth threshold, element kind, and problem variant.
 
-    weighted=True tests the weighted girth (cycle weight = sum of edge
-    weights); connectivity="any" drops the connectivity requirement, leaving
-    girth as the only condition.
+    connectivity="any" drops the connectivity requirement, leaving girth as
+    the only condition. Weighting is the Graph's: on a weighted graph the
+    girth is the weighted one (cycle weight = sum of edge weights).
     """
 
     def __init__(
@@ -38,23 +38,19 @@ class EnumConfig:
         connectivity: str = "connected",
         include_empty: bool = True,
         limit: int | None = None,
-        weighted: bool = False,
     ):
         self.k = k
         self.mode = mode
         self.connectivity = connectivity
         self.include_empty = include_empty
         self.limit = limit
-        self.weighted = weighted
 
-    def validate(self, g: Graph) -> None:
+    def validate(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         if self.connectivity not in CONNECTIVITIES:
             raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
         validate_threshold(self.k)
-        if self.weighted and not g.weighted:
-            raise ValidationError("weighted enumeration requires a weighted graph")
 
 
 def validate_threshold(k: Length) -> None:
@@ -141,7 +137,7 @@ def _solution_ok(g: Graph, members: set[int], cfg: EnumConfig) -> bool:
     adj = _local_adjacency(g, members, cfg.mode)
     if cfg.connectivity == "connected" and not adjacency_connected(adj):
         return False
-    if cfg.weighted:
+    if g.weighted:
         sub = induced_subgraph(g, members) if cfg.mode == "induced" else edge_subgraph(g, members)
         return girth_weighted(sub) >= cfg.k
     return girth_of_adjacency(adj) >= cfg.k
@@ -248,7 +244,7 @@ def enumerate_baseline(
     sorted candidates) before its subtree is expanded; returning True skips
     the subtree but keeps its root solution.
     """
-    cfg.validate(g)
+    cfg.validate()
 
     def with_cands(state: BaselineState) -> BaselineState:
         state.cands = sorted(candidate_set_naive(g, state, cfg))
@@ -292,7 +288,7 @@ def brute_force_enumerate(
     after that many solutions (in subset-mask order). Returns a canonically
     sorted list.
     """
-    cfg.validate(g)
+    cfg.validate()
     out: list[frozenset[int]] = []
     emitter = _Emitter(lambda solution, ordinal: out.append(solution), cfg.limit)
     total = brute_force_total(g.n, g.m, cfg.mode, max_exponent)

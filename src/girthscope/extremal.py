@@ -121,13 +121,11 @@ def densest_girth_graphs(
 def reduce_up_to_isomorphism(
     witnesses: list[tuple[tuple[int, int], ...]], n: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Keep one representative per isomorphism class (brute-force, n <= 8).
+    """Keep one representative per isomorphism class (brute force; callers keep n <= 8).
 
     Witnesses are bucketed by degree sequence first; within a bucket, all n!
     vertex permutations decide isomorphism.
     """
-    if n > 8:
-        raise ValidationError("isomorphism reduction is only supported for n <= 8")
 
     def degree_sequence(edges):
         deg = [0] * n

@@ -27,11 +27,12 @@ and nothing when 2 * dist[u][v] >= k, since the second length is at least
 the first. dist is updated Floyd-Warshall style, one candidate row at a
 time. A step builds each of its sets once: the filter's survivors and the
 neighbours of v adopted through v alone go to update_dist as they are, and
-their union is the child's cand. The hot loops read the Graph's neighbour
-tuples and frozensets directly. Excluding a candidate only drops it from
-cand: its row and column stay in the table, unread, because every later read
-is keyed by a current candidate. Entries outside the scope are INFINITE by
-convention.
+their union is the child's cand; at the root the filter's survivors, v's
+neighbours, attach through v alone and are the adopted set. The hot loops
+read the Graph's neighbour tuples and frozensets directly. Excluding a
+candidate only drops it from cand: its row and column stay in the table,
+unread, because every later read is keyed by a current candidate. Entries
+outside the scope are INFINITE by convention.
 
 No state holds a set of done marks. The root branches on every vertex in
 ascending id, so below root child first the root marks are the ids below
@@ -183,20 +184,19 @@ def _split_old_candidates(state: InducedEnumState, v: int) -> set[int]:
 
 
 def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
-    """Unreached neighbors of v: they attach to S + {v} through v alone.
+    """Unreached neighbours of v: they attach to S + {v} through v alone.
 
-    A cycle through such a vertex would need two of its neighbors inside the
+    A cycle through such a vertex would need two of its neighbours inside the
     new solution, so girth is preserved automatically and no test is needed.
-    Outside S and cand, they are the ones with an id above the child's first
-    (v at the root) and no neighbour in S (module docstring).
+    Below the root, the only place advance asks, they are the ones outside S
+    with an id above first and no neighbour in S, which no candidate lacks.
     """
     sol = state.solution
-    cand = state.cand
-    first = state.first if sol else v
+    first = state.first
     neighbor_sets = state.g._neighbor_sets
     adopted: set[int] = set()
     for w in state.g._neighbors[v]:
-        if w > first and w not in sol and w not in cand and neighbor_sets[w].isdisjoint(sol):
+        if w > first and w not in sol and neighbor_sets[w].isdisjoint(sol):
             adopted.add(w)
     return adopted
 
@@ -214,11 +214,9 @@ def update_dist(
     so it sits at dist[v][x] + 1 from every x in S (the old entry is already
     the distance in S + {v}), at 1 or dist[u][v] + 1 from a survivor u, and
     at 1 or 2 from another adopted vertex. Costs |newcand| * (|S| + |newcand|)
-    for newcand = survivors | adopted.
-
-    Every pair in scope is finite: below the root S is connected and every
-    candidate attaches to it. At the root only dist[u][y] between two
-    neighbours u, y of v can be absent, and then the path through v is taken.
+    for newcand = survivors | adopted. A survivor's pairs are all stored: it
+    attaches to the connected S, and at the root there is none, as every
+    candidate of {v} is adopted.
     """
     old = state.dist
     dv = old[v]
@@ -234,7 +232,7 @@ def update_dist(
                 d = duv + dv[x]
             nrow[x] = d
         for y in survivors:
-            d = rowu.get(y, INFINITE)
+            d = rowu[y]
             if duv + dv[y] < d:
                 d = duv + dv[y]
             nrow[y] = d
@@ -265,16 +263,24 @@ def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = Non
 
     The filter's survivors and v's adopted neighbours are built once each:
     update_dist writes their rows from the two sets, and their union is cand.
-    A child with neither is a leaf: search never branches on it or offers
-    it to prune, so it gets an empty table without a call.
+    At the root the filter's survivors are v's unmarked neighbours, which
+    attach through v alone, so they are the adopted set. A child with no
+    candidate is a leaf: search never branches on it or offers it to prune,
+    so it gets an empty table without a call.
     """
-    survivors = _split_old_candidates(state, v)
-    if stats is not None:
-        # below the root the filter decides every other candidate, at the root only v's neighbours
-        stats.candidate_pairs += len(state.cand) - 1 if state.solution else len(survivors)
-    adopted = adopt_new_candidates(state, v)
+    if state.solution:
+        survivors = _split_old_candidates(state, v)
+        adopted = adopt_new_candidates(state, v)
+        first = state.first
+        if stats is not None:
+            stats.candidate_pairs += len(state.cand) - 1  # the filter decides every other candidate
+    else:
+        survivors = set()
+        adopted = _split_old_candidates(state, v)
+        first = v
+        if stats is not None:
+            stats.candidate_pairs += len(adopted)  # at the root, only v's neighbours
     dist = update_dist(state, v, survivors, adopted) if survivors or adopted else {}
-    first = state.first if state.solution else v
     return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, first, dist)
 
 

@@ -241,8 +241,6 @@ def test_config_validation():
         enumerate_baseline(g, EnumConfig(k=4, mode="vertices"))
     with pytest.raises(ValidationError):
         enumerate_baseline(g, EnumConfig(k=4, limit=-1))
-    with pytest.raises(ValidationError):
-        enumerate_baseline(g, EnumConfig(k=4, weighted=True))  # unweighted graph
 
 
 def test_deterministic_emission_order():

@@ -32,14 +32,9 @@ def weighted_triangle(w1, w2, w3):
 
 
 def test_variant_examples():
-    assert enumerate_baseline(weighted_triangle(1, 1, 1), EnumConfig(k=4, weighted=True)) == 7
-    assert enumerate_baseline(weighted_triangle(2, 2, 2), EnumConfig(k=6, weighted=True)) == 8
+    assert enumerate_baseline(weighted_triangle(1, 1, 1), EnumConfig(k=4)) == 7
+    assert enumerate_baseline(weighted_triangle(2, 2, 2), EnumConfig(k=6)) == 8
     assert enumerate_baseline(path_graph(3), EnumConfig(k=3, connectivity="any")) == 8
-
-
-def test_variant_rejects_weighted_flag_on_unweighted_graph():
-    with pytest.raises(ValidationError):
-        enumerate_baseline(path_graph(3), EnumConfig(k=3, weighted=True))
 
 
 def test_weighted_unit_weights_match_unweighted():
@@ -49,7 +44,7 @@ def test_weighted_unit_weights_match_unweighted():
         for k in (3, 4, 5):
             plain, weighted = Collector(), Collector()
             enumerate_baseline(g, EnumConfig(k=k), plain)
-            enumerate_baseline(gw, EnumConfig(k=k, weighted=True), weighted)
+            enumerate_baseline(gw, EnumConfig(k=k), weighted)
             assert plain.solutions == weighted.solutions
 
 
@@ -58,7 +53,7 @@ def test_weighted_brute_equivalence():
     for g in corpus:
         for k in (3, 5, 7):
             for mode in ("induced", "edge"):
-                cfg = EnumConfig(k=k, mode=mode, weighted=True)
+                cfg = EnumConfig(k=k, mode=mode)
                 got = Collector()
                 enumerate_baseline(g, cfg, got)
                 assert set(got.solutions) == set(brute_force_enumerate(g, cfg))

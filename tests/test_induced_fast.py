@@ -346,3 +346,32 @@ def test_advance_leaves_the_parent_untouched():
         enumerate_induced_fast(
             g, k, on_state=lambda st: check_advance_keeps_parent(st, advance, exclude_candidate, branch_order)
         )
+
+
+def test_root_child_is_built_by_the_adoption_step(monkeypatch):
+    # at the root v's unmarked neighbours attach through v alone: they reach
+    # update_dist as adopted vertices, and no adoption scan runs there
+    from girthscope import induced_fast
+
+    update_dist = induced_fast.update_dist
+    adopt = induced_fast.adopt_new_candidates
+    root_tables = 0
+
+    def checked_adopt(state, v):
+        assert state.solution, f"adoption asked at the root for v={v}"
+        return adopt(state, v)
+
+    def checked_update_dist(state, v, survivors, adopted):
+        nonlocal root_tables
+        if not state.solution:
+            assert not survivors, f"root step for v={v} hands update_dist survivors {sorted(survivors)}"
+            root_tables += 1
+        return update_dist(state, v, survivors, adopted)
+
+    monkeypatch.setattr(induced_fast, "adopt_new_candidates", checked_adopt)
+    monkeypatch.setattr(induced_fast, "update_dist", checked_update_dist)
+    for g in random_corpus(40, 12, 5) + [petersen_graph(), complete_graph(6)]:
+        collected = Collector()
+        enumerate_induced_fast(g, 5, collected)
+        assert set(collected.solutions) == set(brute_force_enumerate(g, EnumConfig(k=5)))
+    assert root_tables > 0
