@@ -345,7 +345,11 @@ def enumerate_edges_fast(
     every subgraph of girth >= k counts, and every state branches in
     ascending id, so the stream equals the baseline engine's. `prune` may cut
     a subtree after its root solution was emitted (used by the extremal
-    search). Returns the number of solutions emitted.
+    search). It must be monotone (see `search`): the children a state has
+    left once it cuts are emitted unbuilt, with no `advance` or `on_state`.
+    `stats.iterations` counts every state emitted, the root included;
+    `inner_picks`, `outer_picks` and `pair_checks` only the built children.
+    Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
     if connectivity not in CONNECTIVITIES:

@@ -179,15 +179,26 @@ def search(
     `order(state)` lists: the child for element x is `advance(state, x,
     stats)`, built before `exclude(state, x)` drops x from the rest of the
     state's subtree. Each child is passed to `on_state`, then its solution,
-    a frozenset in every engine, is emitted as it is. `prune(state)` is asked
-    only about a state with elements to branch on; returning True skips its
-    subtree but keeps its solution.
-    `on_state` sees every state, the empty root included; in the edge engine
-    that root is a state of its own, with every edge an outer candidate.
-    `stats`, when given, gets `iterations` (states built, the root included)
-    and `max_depth` (the root has depth 1). Returns the number of solutions
-    emitted, partial if `limit` or the sink stopped the run; a negative
-    `limit` raises ValidationError.
+    a frozenset in every engine, is emitted as it is.
+
+    `prune(state)` is asked about a state with elements to branch on when it
+    is built; returning True skips its subtree but keeps its solution. It is
+    asked again, on the candidates the state has left, before each later
+    child. Once it says True there, the state's remaining children are
+    emitted as `state.solution | {x}`, in order, without being built: no
+    `advance`, `exclude`, `order`, `prune` or `on_state` call. This is sound
+    for a monotone prune, one that, when it cuts a state, would also cut
+    every child built from the state's remaining elements; such a child's
+    own subtree would be skipped, so its solution is all it emits.
+    `on_state` sees only the states that are built, the empty root
+    included; in the edge engine that root is a state of its own, with
+    every edge an outer candidate.
+
+    `stats`, when given, gets `iterations` (states emitted, built or not,
+    with the root) and `max_depth` (the root has depth 1); the engines'
+    own counters see only the built children. Returns the number of
+    solutions emitted, partial if `limit` or the sink stopped the run; a
+    negative `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
     emit = emitter.emit
@@ -203,9 +214,24 @@ def search(
     todo = order(root)
     if todo and (prune is None or not prune(root)):
         stack.append((root, iter(todo)))
+    # pushed: the top frame has built no child yet, so its prune answer is current
+    pushed = True
     while stack:
         state, it = stack[-1]
         for x in it:
+            if prune is not None:
+                if pushed:
+                    pushed = False
+                elif prune(state):
+                    # each child left would be cut, so its solution is all it
+                    # emits; a built sibling already reached their depth
+                    stack.pop()
+                    for y in (x, *it):
+                        if stats is not None:
+                            stats.iterations += 1
+                        if not emit(state.solution | {y}):
+                            return emitter.count
+                    break
             child = advance(state, x, stats)
             exclude(state, x)
             if stats is not None:
@@ -220,6 +246,7 @@ def search(
             todo = order(child)
             if todo and (prune is None or not prune(child)):
                 stack.append((child, iter(todo)))
+                pushed = True
                 break
         else:
             stack.pop()
@@ -242,7 +269,12 @@ def enumerate_baseline(
 
     `prune` is consulted with a state that has candidates (its solution and
     sorted candidates) before its subtree is expanded; returning True skips
-    the subtree but keeps its root solution.
+    the subtree but keeps its root solution. It is asked again before each
+    later child and must be monotone, as `search` says: once it cuts, the
+    remaining children are emitted without being built. A state's `cands`
+    keeps the elements already branched on, so a bound read off it only
+    overcounts. The baseline keeps no stats; the return value counts every
+    emitted solution.
     """
     cfg.validate()
 

@@ -90,6 +90,12 @@ def densest_girth_graphs(
             # with u < a, plus {a, w} with w < b, and the unmarked fresh pairs
             # are those among the fresh vertices above a = min V(S). search asks
             # only about states that branch, whose table keys are V(S).
+            # Monotone, as search's shortcut needs: the child on a remaining
+            # candidate e moves e from the candidates into the solution; its
+            # other candidates are the parent's remaining ones or edges from
+            # e's new endpoint to fresh vertices, and each of those leaves the
+            # fresh-pair count as that endpoint stops being fresh. So its
+            # bound is at most the parent's.
             d = state.dist
             fresh = n - len(d) - (g.edges[state.first][0] if d else 0)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
@@ -98,7 +104,9 @@ def densest_girth_graphs(
         explored = enumerate_edges_fast(g, k, sink=sink, limit=limit, prune=prune)
     else:
         def prune_any(state: EdgeEnumState) -> bool:
-            # every edge that can still join is already a candidate
+            # every edge that can still join is already a candidate. Monotone:
+            # girth >= k survives deleting an edge, so every candidate of the
+            # child S + e is a remaining candidate of S other than e
             return len(state.solution) + len(state.inner_cand) + len(state.outer_cand) < best_size
 
         explored = enumerate_edges_fast(g, k, sink=sink, connectivity="any", limit=limit, prune=prune_any)

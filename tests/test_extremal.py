@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,8 @@ from girthscope import (
     girth_unweighted,
     path_graph,
 )
-from girthscope import extremal
+from girthscope import edges_fast, extremal
+from girthscope.edges_fast import EdgeRunStats
 from girthscope.extremal import reduce_up_to_isomorphism
 from girthscope.verify import all_connected_graphs, random_corpus
 
@@ -241,6 +243,105 @@ def test_connected_search_explores_a_fixed_tree(n, k):
     r = densest_girth_graphs(n, k)
     got = (r.max_edges, r.explored, len(r.witnesses), zlib.crc32(repr(r.witnesses).encode()))
     assert got == CONNECTED_SEARCHES[n, k]
+
+
+def emitted_stream(n, k, connected_only, monkeypatch):
+    """(result, crc32 of every solution the engine emitted, in order, as sorted edge ids)."""
+    engine = extremal.enumerate_edges_fast
+    crc = 0
+
+    def recording_engine(g, threshold, sink=None, **kwargs):
+        def recording_sink(solution, ordinal):
+            nonlocal crc
+            crc = zlib.crc32(repr(sorted(solution)).encode(), crc)
+            return sink(solution, ordinal)
+
+        return engine(g, threshold, recording_sink, **kwargs)
+
+    monkeypatch.setattr(extremal, "enumerate_edges_fast", recording_engine)
+    return densest_girth_graphs(n, k, connected_only=connected_only), crc
+
+
+# (n, k, connected_only): (explored, crc32 of the ordered emitted stream),
+# recorded before cut states emitted their remaining children unbuilt
+PRUNED_STREAMS = {
+    (6, 4, True): (1388, 564234690),
+    (7, 5, True): (31853, 2583043381),
+    (6, 4, False): (1335, 2560867752),
+    (6, 5, False): (2971, 1081768919),
+}
+
+
+@pytest.mark.parametrize("n,k,connected_only", sorted(PRUNED_STREAMS))
+def test_pruned_search_emits_a_fixed_stream(n, k, connected_only, monkeypatch):
+    result, crc = emitted_stream(n, k, connected_only, monkeypatch)
+    assert (result.explored, crc) == PRUNED_STREAMS[n, k, connected_only]
+
+
+@pytest.mark.parametrize(
+    "n,k,connected_only,expected",
+    [(7, 5, True, (8, 31853, 1260, 532820118)), (6, 4, False, (9, 1335, 10, 3102815179))],
+)
+def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, expected, monkeypatch):
+    # once a state's prune cuts on the candidates it has left, its remaining
+    # children are emitted, not built: at most 0.7 of the emitted states are
+    # built, where building every child would give explored - 1. iterations
+    # still counts every emitted state, the picks only the built children.
+    built = 0
+    stats = EdgeRunStats()
+    engine = extremal.enumerate_edges_fast
+
+    def counting(step):
+        def counted(*args):
+            nonlocal built
+            built += 1
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr(edges_fast, "advance", counting(edges_fast.advance))
+    monkeypatch.setattr(edges_fast, "advance_any", counting(edges_fast.advance_any))
+    monkeypatch.setattr(extremal, "enumerate_edges_fast", lambda *args, **kwargs: engine(*args, stats=stats, **kwargs))
+    r = densest_girth_graphs(n, k, connected_only=connected_only)
+    assert (r.max_edges, r.explored, len(r.witnesses), zlib.crc32(repr(r.witnesses).encode())) == expected
+    assert built <= 0.7 * r.explored
+    assert stats.iterations == r.explored
+    assert stats.inner_picks + stats.outer_picks == built
+
+
+def prune_bound(state, n, edges, connected):
+    """The extremal prune's reachable size, from the live candidates and, if connected, the root-mark scan."""
+    live = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
+    if not connected:
+        return live
+    if state.dist is None:  # a leaf keeps no table; its key set would be V(S)
+        state = SimpleNamespace(dist=dict.fromkeys(x for e in state.solution for x in edges[e][:2]), first=state.first)
+    return live + fresh_pairs_by_scan(state, n, edges)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("connected", [True, False])
+def test_extremal_prune_bounds_are_monotone(n, k, connected, monkeypatch):
+    # search emits a cut state's remaining children unbuilt, which is sound
+    # only if no child's bound exceeds its parent's on the candidates the
+    # parent has left when the child is built; walk the unpruned tree
+    g = complete_graph(n)
+    name = "advance" if connected else "advance_any"
+    step = getattr(edges_fast, name)
+    children = 0
+
+    def checked_step(state, e, stats=None):
+        nonlocal children
+        children += 1
+        parent_bound = prune_bound(state, n, g.edges, connected)
+        child = step(state, e, stats)
+        assert prune_bound(child, n, g.edges, connected) <= parent_bound
+        return child
+
+    monkeypatch.setattr(edges_fast, name, checked_step)
+    explored = enumerate_edges_fast(g, k, connectivity="connected" if connected else "any")
+    assert children == explored - 1
 
 
 def test_densest_budget_flags_incomplete():
