@@ -67,7 +67,6 @@ def bench_compare(
     mode: str = "edge",
     limit: int | None = None,
     graph_desc: str | None = None,
-    max_exponent: int = BENCH_MAX_EXPONENT,
 ) -> BenchReport:
     """Run the fast engine and the brute-force filter on identical input.
 
@@ -80,7 +79,7 @@ def bench_compare(
     """
     cfg = EnumConfig(k=k, mode=mode, limit=limit)
     cfg.validate()
-    brute_force_total(g.n, g.m, mode, max_exponent)  # refuse before the fast run stores every solution
+    brute_force_total(g.n, g.m, mode, BENCH_MAX_EXPONENT)  # refuse before the fast run stores every solution
     desc = graph_desc or repr(g)
 
     max_delay = 0.0
@@ -105,7 +104,7 @@ def bench_compare(
     fast_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    brute = brute_force_enumerate(g, cfg, max_exponent=max_exponent)
+    brute = brute_force_enumerate(g, cfg, max_exponent=BENCH_MAX_EXPONENT)
     brute_seconds = time.perf_counter() - t0
 
     ok = fast_count == len(brute) == len(set(fast_solutions))

@@ -44,14 +44,13 @@ def _add_graph_options(p: argparse.ArgumentParser):
         default="auto",
         help="input format (auto: DIMACS if a four-token 'p' line is present)",
     )
-    p.add_argument("--weighted", action="store_true", help="read and use integer edge weights")
+    p.add_argument("--weighted", action="store_true", help="accept a weight column (all weights 1: unweighted)")
 
 
 def _add_enum_options(p: argparse.ArgumentParser):
     p.add_argument("-k", type=_k_value, required=True, help="girth threshold (integer >= 3, or 'inf')")
     p.add_argument("--mode", choices=("induced", "edge"), default="induced")
     p.add_argument("--connectivity", choices=("connected", "any"), default="connected")
-    p.add_argument("--algorithm", choices=("fast", "baseline"), default="fast")
     p.add_argument("--no-empty", action="store_true", help="do not emit the empty solution")
     p.add_argument("--limit", type=int, default=None, help="stop after this many solutions")
 
@@ -83,35 +82,22 @@ def _solution_line(solution: frozenset[int], g: Graph, mode: str, endpoints: boo
 
 
 class _UsageError(Exception):
-    """Rejected flag combination (mapped to the usage exit code)."""
-
-
-def _check_algorithm(args) -> None:
-    if args.algorithm != "fast":
-        return
-    if getattr(args, "weighted", False):
-        raise _UsageError("the fast engines are unweighted; rerun with --algorithm baseline")
-    if args.mode == "induced" and args.connectivity == "any":
-        raise _UsageError(
-            "the fast induced engine enumerates connected solutions only;"
-            " rerun with --algorithm baseline or --mode edge"
-        )
+    """Usage problem argparse cannot see, such as an unwritable --output (mapped to the usage exit code)."""
 
 
 def _run_enumeration(args, g: Graph, sink) -> int:
-    cfg = EnumConfig(
-        k=args.k,
-        mode=args.mode,
-        connectivity=args.connectivity,
-        include_empty=not args.no_empty,
-        limit=args.limit,
-    )
-    if args.algorithm == "baseline":
+    """Run the fast engine of the variant, or the baseline where there is none.
+
+    No fast engine runs a weighted graph or induced mode without connectivity.
+    """
+    include_empty = not args.no_empty
+    if g.weighted or (args.mode == "induced" and args.connectivity == "any"):
+        cfg = EnumConfig(args.k, args.mode, args.connectivity, include_empty, args.limit)
         return enumerate_baseline(g, cfg, sink)
     if args.mode == "induced":
-        return enumerate_induced_fast(g, args.k, sink, include_empty=not args.no_empty, limit=args.limit)
+        return enumerate_induced_fast(g, args.k, sink, include_empty=include_empty, limit=args.limit)
     return enumerate_edges_fast(
-        g, args.k, sink, connectivity=args.connectivity, include_empty=not args.no_empty, limit=args.limit
+        g, args.k, sink, connectivity=args.connectivity, include_empty=include_empty, limit=args.limit
     )
 
 
@@ -129,7 +115,6 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    _check_algorithm(args)
     g = _load_graph(args)
     try:
         out = open(args.output, "w") if args.output else sys.stdout
@@ -148,7 +133,6 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    _check_algorithm(args)
     g = _load_graph(args)
     count = _run_enumeration(args, g, None)
     print(count)

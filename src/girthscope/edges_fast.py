@@ -51,19 +51,12 @@ from .graph import Graph, INFINITE, Length
 
 
 class EdgeRunStats:
-    def __init__(
-        self,
-        iterations: int = 0,
-        max_depth: int = 0,
-        inner_picks: int = 0,
-        outer_picks: int = 0,
-        pair_checks: int = 0,
-    ):
-        self.iterations = iterations
-        self.max_depth = max_depth
-        self.inner_picks = inner_picks
-        self.outer_picks = outer_picks
-        self.pair_checks = pair_checks  # O(1) girth tests: pair_girth_ok calls, back-edge and join tests
+    def __init__(self):
+        self.iterations = 0
+        self.max_depth = 0
+        self.inner_picks = 0
+        self.outer_picks = 0
+        self.pair_checks = 0  # O(1) girth tests: pair_girth_ok calls, back-edge and join tests
 
 
 class EdgeEnumState:

@@ -68,10 +68,10 @@ def validate_fast_input(g: Graph, k: Length) -> None:
 class BaselineState:
     """One iteration of the baseline engine: frozen solution, done-set mask, sorted candidates."""
 
-    def __init__(self, solution: frozenset[int], excluded: set[int], cands: list[int] | None = None):
+    def __init__(self, solution: frozenset[int], excluded: set[int]):
         self.solution = solution
         self.excluded = excluded
-        self.cands = [] if cands is None else cands
+        self.cands: list[int] = []
 
 
 class Collector:

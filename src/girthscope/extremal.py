@@ -78,6 +78,7 @@ def densest_girth_graphs(
         elif size == best_size:
             witnesses.append(solution)
 
+    connectivity = "connected" if connected_only else "any"
     if connected_only:
 
         def prune(state: EdgeEnumState) -> bool:
@@ -100,16 +101,15 @@ def densest_girth_graphs(
             fresh = n - len(d) - (g.edges[state.first][0] if d else 0)
             reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
             return reachable < best_size
-
-        explored = enumerate_edges_fast(g, k, sink=sink, limit=limit, prune=prune)
     else:
-        def prune_any(state: EdgeEnumState) -> bool:
+
+        def prune(state: EdgeEnumState) -> bool:
             # every edge that can still join is already a candidate. Monotone:
             # girth >= k survives deleting an edge, so every candidate of the
             # child S + e is a remaining candidate of S other than e
             return len(state.solution) + len(state.inner_cand) + len(state.outer_cand) < best_size
 
-        explored = enumerate_edges_fast(g, k, sink=sink, connectivity="any", limit=limit, prune=prune_any)
+    explored = enumerate_edges_fast(g, k, sink=sink, connectivity=connectivity, limit=limit, prune=prune)
 
     pair_witnesses = [tuple(g.endpoints(e) for e in sorted(w)) for w in witnesses]
     pair_witnesses.sort()

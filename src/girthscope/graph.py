@@ -34,7 +34,7 @@ class Graph:
         n: vertex count.
         edges: tuple of (u, v, weight) with u < v, indexed by edge id.
         adj: per-vertex tuple of (neighbor, edge id), sorted by neighbor.
-        weighted: whether edge weights are meaningful (all 1 otherwise).
+        weighted: whether some edge weight is not 1.
 
     Inside the package, _neighbors and _neighbor_sets (per-vertex neighbour
     tuples and frozensets, the values of neighbors and neighbor_set) are read
@@ -43,12 +43,13 @@ class Graph:
 
     __slots__ = ("n", "edges", "adj", "weighted", "_neighbors", "_neighbor_sets")
 
-    def __init__(self, n: int, edges: Iterable[tuple] = (), weighted: bool = False):
+    def __init__(self, n: int, edges: Iterable[tuple] = ()):
         # bool subclasses int, but True is neither a count, a vertex id nor a weight
         if type(n) is not int or n < 0:
             raise ValidationError(f"vertex count must be a non-negative int, not {n!r}")
         norm: list[tuple[int, int, int]] = []
         pairs: set[tuple[int, int]] = set()
+        weighted = False
         for item in edges:
             # a tuple, the usual item, skips the slower ABC check
             size = len(item) if type(item) is tuple or isinstance(item, Sequence) else 0
@@ -71,8 +72,8 @@ class Graph:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             if not isinstance(w, int) or type(w) is bool or w < 1:
                 raise ValidationError(f"edge ({u}, {v}) has weight {w}; weights must be integers >= 1")
-            if not weighted and w != 1:
-                raise ValidationError("non-unit weight on an unweighted graph")
+            if w != 1:
+                weighted = True
             pairs.add((u, v))
             norm.append((u, v, w))
 
@@ -114,17 +115,17 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges and self.weighted == other.weighted
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.weighted))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         tag = ", weighted" if self.weighted else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
-def _graph_from_lines(n: int, numbered: list[tuple[int, str, tuple[int, int, int]]], weighted: bool) -> Graph:
+def _graph_from_lines(n: int, numbered: list[tuple[int, str, tuple[int, int, int]]]) -> Graph:
     """Graph(n, edges) from (line number, line text, edge) triples.
 
     Graph.__init__ holds the edge rules (no self-loop, no duplicate, integer
@@ -139,7 +140,7 @@ def _graph_from_lines(n: int, numbered: list[tuple[int, str, tuple[int, int, int
             yield edge
 
     try:
-        return Graph(n, edges(), weighted=weighted)
+        return Graph(n, edges())
     except ValidationError as exc:
         if where is None:
             raise
@@ -147,7 +148,7 @@ def _graph_from_lines(n: int, numbered: list[tuple[int, str, tuple[int, int, int
 
 
 def parse_edge_list(text: str, weighted: bool = False) -> Graph:
-    """Parse "u v" / "u v w" lines into a Graph.
+    """Parse "u v" lines, or with weighted=True also "u v w" lines, into a Graph.
 
     '#' starts a comment. Vertex labels are arbitrary tokens, renumbered to
     0..n-1 in order of first appearance. Self-loops, duplicate edges and
@@ -175,7 +176,7 @@ def parse_edge_list(text: str, weighted: bool = False) -> Graph:
         else:
             w = 1
         numbered.append((lineno, line, (u, v, w)))
-    return _graph_from_lines(len(ids), numbered, weighted)
+    return _graph_from_lines(len(ids), numbered)
 
 
 #: Most vertices a DIMACS problem line may declare. A Graph costs about 340
@@ -185,7 +186,7 @@ DIMACS_MAX_VERTICES = 100_000
 
 
 def parse_dimacs(text: str, weighted: bool = False) -> Graph:
-    """Parse a DIMACS graph ("p edge n m" header, "e u v [w]" lines, 1-based ids).
+    """Parse a DIMACS graph ("p edge n m" header, "e u v" lines or with weighted=True "e u v w", 1-based).
 
     Validation matches parse_edge_list; the declared edge count must match.
     A problem line declaring more than DIMACS_MAX_VERTICES vertices raises
@@ -229,14 +230,19 @@ def parse_dimacs(text: str, weighted: bool = False) -> Graph:
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' problem line")
-    g = _graph_from_lines(n, numbered, weighted)
+    g = _graph_from_lines(n, numbered)
     if declared_m != g.m:
         raise ValidationError(f"problem line declares {declared_m} edges, found {g.m}")
     return g
 
 
 def to_edge_list(g: Graph) -> str:
-    """Serialize as edge-list text; re-parsing yields an equal Graph."""
+    """Serialize as edge-list text, with a weight column if g is weighted.
+
+    parse_edge_list(text, weighted=g.weighted) renumbers the vertices in order
+    of first appearance, so it gives back g only if g's vertices first appear
+    in id order along its edge ids (u before v) and none is isolated.
+    """
     lines = []
     for u, v, w in g.edges:
         lines.append(f"{u} {v} {w}" if g.weighted else f"{u} {v}")
@@ -257,7 +263,7 @@ def induced_subgraph(g: Graph, vertices: VertexSet) -> Graph:
         for (u, v, w) in g.edges
         if u in index and v in index
     ]
-    return Graph(len(order), sub, weighted=g.weighted)
+    return Graph(len(order), sub)
 
 
 def edge_subgraph(g: Graph, edge_ids: EdgeSet) -> Graph:
@@ -268,7 +274,7 @@ def edge_subgraph(g: Graph, edge_ids: EdgeSet) -> Graph:
     verts = sorted({x for eid in eids for x in g.endpoints(eid)})
     index = {v: i for i, v in enumerate(verts)}
     sub = [(index[g.edges[eid][0]], index[g.edges[eid][1]], g.edges[eid][2]) for eid in eids]
-    return Graph(len(verts), sub, weighted=g.weighted)
+    return Graph(len(verts), sub)
 
 
 def adjacency_connected(adj: Sequence[Sequence[int]]) -> bool:
@@ -312,7 +318,7 @@ def cycle_graph(n: int, weights: Iterable[int] | None = None) -> Graph:
     ws = list(weights)
     if len(ws) != n:
         raise ValidationError("need one weight per cycle edge")
-    return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, ws)], weighted=True)
+    return Graph(n, [(u, v, w) for (u, v), w in zip(pairs, ws)])
 
 
 def path_graph(n: int) -> Graph:

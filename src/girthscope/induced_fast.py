@@ -55,10 +55,10 @@ from .graph import Graph, INFINITE, Length
 class InducedRunStats:
     """Counters for one enumeration run (work accounting)."""
 
-    def __init__(self, iterations: int = 0, max_depth: int = 0, candidate_pairs: int = 0):
-        self.iterations = iterations
-        self.max_depth = max_depth
-        self.candidate_pairs = candidate_pairs  # (old candidate, added vertex) pairs the filter decided
+    def __init__(self):
+        self.iterations = 0
+        self.max_depth = 0
+        self.candidate_pairs = 0  # (old candidate, added vertex) pairs the filter decided
 
 
 class InducedEnumState:

@@ -45,7 +45,7 @@ def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False) -
             if rng.random() < p:
                 w = rng.randint(1, 4) if weighted else 1
                 edges.append((u, v, w))
-    return Graph(n, edges, weighted=weighted)
+    return Graph(n, edges)
 
 
 def random_corpus(

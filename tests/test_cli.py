@@ -5,7 +5,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthscope import ValidationError, petersen_graph, run_verification, to_edge_list, verify
+from girthscope import (
+    Collector,
+    EnumConfig,
+    ValidationError,
+    cli,
+    enumerate_baseline,
+    enumerate_edges_fast,
+    enumerate_induced_fast,
+    parse_edge_list,
+    petersen_graph,
+    run_verification,
+    to_edge_list,
+    verify,
+)
 from girthscope.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
@@ -107,55 +120,101 @@ def test_unwritable_output_is_a_usage_error(graph_file, tmp_path, capsys):
 
 
 def test_enum_baseline_any_connectivity(graph_file, capsys):
-    src = graph_file("0 1\n1 2\n")
-    code = run_cli(
-        ["count", "--graph", src, "-k", "3", "--connectivity", "any", "--algorithm", "baseline"]
-    )
-    assert code == EXIT_OK
+    # induced mode without connectivity has no fast engine, so the baseline runs
+    text = "0 1\n1 2\n"
+    assert run_cli(["count", "--graph", graph_file(text), "-k", "3", "--connectivity", "any"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "8"
+    assert enumerate_baseline(parse_edge_list(text), EnumConfig(k=3, connectivity="any")) == 8
 
 
-def test_fast_flag_combinations_rejected(graph_file, capsys):
-    src = graph_file("0 1 2\n", name="w.txt")
-    assert run_cli(["count", "--graph", src, "-k", "3", "--weighted"]) == EXIT_USAGE
-    assert "baseline" in capsys.readouterr().err
-    src2 = graph_file(K3)
-    assert run_cli(["count", "--graph", src2, "-k", "3", "--connectivity", "any"]) == EXIT_USAGE
+FAST_ENGINE = {"induced": "enumerate_induced_fast", "edge": "enumerate_edges_fast"}
 
 
-def test_fast_weighted_rejection_says_why(graph_file, capsys):
-    src = graph_file("0 1 2\n1 2 1\n", name="w.txt")
-    assert run_cli(["count", "--graph", src, "-k", "3", "--mode", "edge", "--weighted"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "unweighted" in err and "--algorithm baseline" in err
+def record_engines(monkeypatch) -> list[str]:
+    """Wrap the engine names in girthscope.cli; returns the names called, in order."""
+    called = []
+
+    def recorded(name, real):
+        def engine(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        return engine
+
+    for name in ("enumerate_induced_fast", "enumerate_edges_fast", "enumerate_baseline"):
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    return called
 
 
-def test_fast_induced_any_rejection_says_why(graph_file, capsys):
-    argv = ["count", "--graph", graph_file(K3), "-k", "3", "--mode", "induced", "--connectivity", "any"]
-    assert run_cli(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "induced" in err and "connected solutions only" in err and "--algorithm baseline" in err
+def library_stream(g, k, mode, connectivity, engine) -> str:
+    """What `enum` prints for the solutions `engine` emits on g."""
+    sink = Collector()
+    if engine == "enumerate_baseline":
+        enumerate_baseline(g, EnumConfig(k=k, mode=mode, connectivity=connectivity), sink)
+    elif mode == "induced":
+        enumerate_induced_fast(g, k, sink)
+    else:
+        enumerate_edges_fast(g, k, sink, connectivity=connectivity)
+    return "".join(" ".join(map(str, sorted(s))) + "\n" for s in sink.solutions)
+
+
+# a triangle 0-1-2 and a 4-cycle 0-2-3-4 sharing the chord 0-2: "plain" is
+# read without --weighted, the others with it; with the weight 2 on 0-1 the
+# triangle weighs 4, so it passes k=4 only in "weighted"
+CHORDED_C5 = {
+    "plain": "0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n",
+    "unit": "0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n0 2 1\n",
+    "weighted": "0 1 2\n1 2 1\n2 3 1\n3 4 1\n4 0 1\n0 2 1\n",
+}
+
+
+@pytest.mark.parametrize("weights", ["plain", "weighted", "unit"])
+@pytest.mark.parametrize("connectivity", ["connected", "any"])
+@pytest.mark.parametrize("mode", ["induced", "edge"])
+def test_every_variant_runs_on_the_engine_for_it(graph_file, monkeypatch, capsys, mode, connectivity, weights):
+    # the baseline runs exactly where no fast engine does: a weighted graph, or
+    # induced mode without connectivity; a file whose weights are all 1 is unweighted
+    text, flag = CHORDED_C5[weights], weights != "plain"
+    baseline = weights == "weighted" or (mode == "induced" and connectivity == "any")
+    engine = "enumerate_baseline" if baseline else FAST_ENGINE[mode]
+    expected = library_stream(parse_edge_list(text, weighted=flag), 4, mode, connectivity, engine)
+    called = record_engines(monkeypatch)
+    argv = ["enum", "--graph", graph_file(text), "-k", "4", "--mode", mode, "--connectivity", connectivity]
+    assert run_cli(argv + (["--weighted"] if flag else [])) == EXIT_OK
+    assert called == [engine]
+    assert capsys.readouterr() == (expected, "")
+    triangle = "0 1 2" if mode == "induced" else "0 1 5"
+    assert (triangle in expected.splitlines()) == (weights == "weighted")
+
+
+@pytest.mark.parametrize("command", ["count", "enum"])
+def test_help_offers_no_engine_choice(command, capsys):
+    assert run_cli([command, "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "--weighted" in out and "--algorithm" not in out
 
 
 @pytest.mark.parametrize("k", ["5", "6"])
 def test_fast_edge_any_count_equals_baseline(graph_file, capsys, k):
-    src = graph_file(to_edge_list(petersen_graph()))
-    argv = ["count", "--graph", src, "-k", k, "--mode", "edge", "--connectivity", "any"]
+    g = petersen_graph()
+    argv = ["count", "--graph", graph_file(to_edge_list(g)), "-k", k, "--mode", "edge", "--connectivity", "any"]
     assert run_cli(argv) == EXIT_OK
-    fast = capsys.readouterr().out
-    assert run_cli(argv + ["--algorithm", "baseline"]) == EXIT_OK
-    assert fast == capsys.readouterr().out
+    fast = int(capsys.readouterr().out)
+    assert fast == enumerate_baseline(g, EnumConfig(k=int(k), mode="edge", connectivity="any"))
     if k == "5":
-        assert int(fast) == 2**15  # Petersen has girth 5: every edge subset counts
+        assert fast == 2**15  # Petersen has girth 5: every edge subset counts
 
 
 def test_fast_edge_any_enum_streams_like_baseline(graph_file, capsys):
-    src = graph_file(C5 + "0 2\n5 6\n")
-    argv = ["enum", "--graph", src, "-k", "4", "--mode", "edge", "--connectivity", "any", "--endpoints"]
+    text = C5 + "0 2\n5 6\n"
+    argv = ["enum", "--graph", graph_file(text), "-k", "4", "--mode", "edge", "--connectivity", "any", "--endpoints"]
     assert run_cli(argv) == EXIT_OK
     fast = capsys.readouterr().out
-    assert run_cli(argv + ["--algorithm", "baseline"]) == EXIT_OK
-    assert fast == capsys.readouterr().out
+    g = parse_edge_list(text)
+    baseline = Collector()
+    enumerate_baseline(g, EnumConfig(k=4, mode="edge", connectivity="any"), baseline)
+    lines = (" ".join(f"{u}-{v}" for u, v in (g.endpoints(e) for e in sorted(s))) for s in baseline.solutions)
+    assert fast == "".join(line + "\n" for line in lines)
     assert "0-1 1-2 5-6" in fast.splitlines()  # disconnected solutions are streamed
 
 
@@ -208,10 +267,27 @@ def test_usage_exit_codes(capsys):
     assert run_cli(["--help"]) == EXIT_OK
 
 
+K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+
+
 def test_dimacs_input(graph_file, capsys):
     path = graph_file("c five-cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n", name="g.col")
     assert run_cli(["girth", "--graph", path]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "5"
+    triangle = graph_file(K3_DIMACS, name="k3.col")
+    for flags in ([], ["--format", "dimacs"]):  # detection reads it as --format dimacs does
+        assert run_cli(["girth", "--graph", triangle, *flags]) == EXIT_OK
+        assert capsys.readouterr().out == "3\n"
+
+
+def test_format_forces_the_parser(graph_file, capsys):
+    # without a problem line, "e 1 2" is no DIMACS graph; a problem line is no edge-list line
+    headerless = graph_file(K3_DIMACS.split("\n", 1)[1], name="headerless.col")
+    assert run_cli(["girth", "--graph", headerless, "--format", "dimacs"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: line 1: edge line before problem line\n"
+    dimacs = graph_file(K3_DIMACS, name="k3.col")
+    assert run_cli(["girth", "--graph", dimacs, "--format", "edgelist"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error: line 1: ")
 
 
 def test_p_label_is_not_a_dimacs_header(graph_file, capsys):
@@ -303,8 +379,8 @@ ERROR_PATHS = [
                  "fast solutions differ from brute force", id="discrepancy"),
     pytest.param(["count", "-k", "4"], False, EXIT_USAGE, "usage: girthscope count", id="argparse"),
     pytest.param(["bench", "-k", "4"], False, EXIT_USAGE, "bench needs exactly one of", id="bench-source"),
-    pytest.param(["count", "--graph", "@k3", "-k", "3", "--connectivity", "any"], False, EXIT_USAGE,
-                 "usage error: ", id="flag-combination"),
+    pytest.param(["enum", "--graph", "@k3", "-k", "4", "--output", "@no/such/out.txt"], False, EXIT_USAGE,
+                 "usage error: cannot write", id="unwritable-output"),
     pytest.param(["girth", "--graph", "@bad"], False, EXIT_PARSE, "parse error: ", id="parse"),
     pytest.param(["girth", "--graph", "@missing"], False, EXIT_PARSE, "parse error: cannot read", id="unreadable"),
     pytest.param(["girth", "--graph", "@binary"], False, EXIT_PARSE, "parse error: cannot read", id="not-utf8"),

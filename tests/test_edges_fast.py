@@ -294,7 +294,7 @@ def test_pair_checks_count_the_girth_tests_made():
 
 
 def test_rejects_weighted_and_bad_k():
-    g = Graph(2, [(0, 1, 2)], weighted=True)
+    g = Graph(2, [(0, 1, 2)])
     with pytest.raises(ValidationError):
         enumerate_edges_fast(g, 4)
     with pytest.raises(ValidationError):

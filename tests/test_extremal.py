@@ -30,7 +30,7 @@ from girthscope.verify import all_connected_graphs, random_corpus
 
 
 def weighted_triangle(w1, w2, w3):
-    return Graph(3, [(0, 1, w1), (1, 2, w2), (0, 2, w3)], weighted=True)
+    return Graph(3, [(0, 1, w1), (1, 2, w2), (0, 2, w3)])
 
 
 def test_variant_examples():
@@ -39,15 +39,19 @@ def test_variant_examples():
     assert enumerate_baseline(path_graph(3), EnumConfig(k=3, connectivity="any")) == 8
 
 
-def test_weighted_unit_weights_match_unweighted():
+def test_doubled_weights_at_double_threshold_match_unweighted():
+    # every cycle weighs twice its length, so the weighted girth test at 2k
+    # is the unweighted one at k, and the stream must be the same
     corpus = random_corpus(12, 6, seed=808)
     for g in corpus:
-        gw = Graph(g.n, [(u, v, 1) for u, v, _ in g.edges], weighted=True)
+        gw = Graph(g.n, [(u, v, 2) for u, v, _ in g.edges])
+        assert gw.weighted == (g.m > 0)
         for k in (3, 4, 5):
-            plain, weighted = Collector(), Collector()
-            enumerate_baseline(g, EnumConfig(k=k), plain)
-            enumerate_baseline(gw, EnumConfig(k=k), weighted)
-            assert plain.solutions == weighted.solutions
+            for mode in ("induced", "edge"):
+                plain, weighted = Collector(), Collector()
+                enumerate_baseline(g, EnumConfig(k=k, mode=mode), plain)
+                enumerate_baseline(gw, EnumConfig(k=2 * k, mode=mode), weighted)
+                assert plain.solutions == weighted.solutions
 
 
 def test_weighted_brute_equivalence():

@@ -72,7 +72,7 @@ def test_girth_matches_networkx():
 
 
 def test_weighted_girth_examples():
-    tri = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)], weighted=True)
+    tri = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     assert girth_weighted(tri) == 6
     assert girth_weighted(cycle_graph(4)) == girth_unweighted(cycle_graph(4)) == 4
     assert girth_weighted(cycle_graph(4, [1, 1, 1, 5])) == 8
@@ -94,7 +94,7 @@ def test_weighted_girth_matches_brute_force():
 
 def test_weighted_girth_does_not_count_single_edges_twice():
     # one edge, no cycle: a naive all-pairs formulation would report weight 2
-    assert girth_weighted(Graph(2, [(0, 1, 1)], weighted=True)) == INFINITE
+    assert girth_weighted(Graph(2, [(0, 1, 2)])) == INFINITE
     assert girth_weighted(path_graph(4)) == INFINITE
 
 

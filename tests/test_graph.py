@@ -103,23 +103,34 @@ def test_unweighted_parse_rejects_weight_column():
         parse_edge_list("0 1 2")
 
 
-def test_graph_rejects_out_of_range_and_nonunit_weights():
+def test_graph_rejects_out_of_range_endpoints_and_weights():
     with pytest.raises(ValidationError):
         Graph(2, [(0, 2)])
-    with pytest.raises(ValidationError):
-        Graph(3, [(0, 1, 2)])  # weighted flag not set
+    for w in (0, -1):
+        with pytest.raises(ValidationError, match="weight"):
+            Graph(2, [(0, 1, w)])
 
 
-@pytest.mark.parametrize("n, edges, weighted", [
+def test_graph_is_weighted_iff_some_weight_is_not_one():
+    assert Graph(3, [(0, 1, 2)]).weighted
+    assert Graph(3, [(0, 1), (1, 2, 3)]).weighted
+    assert not Graph(2, [(0, 1, 1)]).weighted
+    assert not Graph(3, [(0, 1), (1, 2, 1)]).weighted
+    # the weights decide equality; the flag follows from them
+    assert Graph(2, [(0, 1, 1)]) == Graph(2, [(0, 1)]) != Graph(2, [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("n, edges, as_list", [
     (True, [], False),
     (2, [(0, 1, True)], True),
     (2, [(0, 1, True)], False),
     (2, [(False, 1)], False),
     (2, [(0, True)], False),
 ])
-def test_graph_rejects_bools_as_ints(n, edges, weighted):
+def test_graph_rejects_bools_as_ints(n, edges, as_list):
+    # as_list: the edge items are lists, which take the Sequence check
     with pytest.raises(ValidationError):
-        Graph(n, edges, weighted=weighted)
+        Graph(n, [list(e) for e in edges] if as_list else edges)
 
 
 @pytest.mark.parametrize("item", [(0, 1, 1, 1), (0,), 5, (0.5, 1), ("0", 1)])
@@ -155,6 +166,13 @@ def test_round_trip_random_graphs():
         rng.shuffle(lines)
         g = parse_edge_list("\n".join(lines), weighted=weighted)
         assert parse_edge_list(to_edge_list(g), weighted=weighted) == g
+
+
+def test_round_trip_renumbers_what_is_not_in_first_appearance_order():
+    # the parser numbers vertices by first appearance: an isolated vertex is
+    # lost, and vertices first seen out of id order come back renumbered
+    assert parse_edge_list(to_edge_list(Graph(3, [(1, 2)]))) == Graph(2, [(0, 1)])
+    assert parse_edge_list(to_edge_list(Graph(3, [(0, 2), (0, 1)]))) == Graph(3, [(0, 1), (0, 2)])
 
 
 def test_dimacs_parse_and_validation():

@@ -274,7 +274,7 @@ def test_limit_stop_and_include_empty():
 
 
 def test_rejects_weighted_graphs():
-    g = Graph(2, [(0, 1, 2)], weighted=True)
+    g = Graph(2, [(0, 1, 2)])
     with pytest.raises(ValidationError):
         enumerate_induced_fast(g, 4)
     with pytest.raises(ValidationError):
