@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ EXIT_USAGE = 2  # bad flags or flag combination
 EXIT_PARSE = 3  # unreadable or malformed graph input
 EXIT_VALIDATION = 4  # well-formed input violating a contract
 EXIT_BUDGET = 5  # exhaustive operation over budget
+EXIT_PIPE = 141  # stdout closed by its reader; 128 + SIGPIPE, as a shell reports a process the signal ends
 
 
 def _k_value(text: str):
@@ -240,7 +242,14 @@ def run_cli(argv: list[str] | None = None) -> int:
         print("bench needs exactly one of --graph or --complete", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped reading (`girthscope enum ... | head`): stop
+        # quietly, with stdout on devnull so that the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,24 +25,33 @@ girth test. Rows of dist hold distances within a component only, and
 branching takes every candidate in ascending id, as the baseline engine does,
 so both engines emit the same stream.
 
-A table is built when its state is, unless the state has no candidate: such a
-leaf never branches and search never offers it to prune, so nothing reads
-its table, and its dist is None.
+A child with no candidate is a leaf: advance returns None for it, and
+search emits its solution without building a state. A table is read only
+to build a state's children, so a state whose only child is a leaf gets no
+table either (dist None): in the connected variant a state whose one
+candidate is inner, or whose one candidate is outer and leads to a fresh
+endpoint with no unmarked edge (an id above first) to another fresh
+vertex; in the non-connected variant every state with one candidate, since
+that variant adds no candidate. Called on such a state, advance only
+counts the pick. On K7 at k=4 this halves the table steps, from 59,404 to
+28,917, for 123,379 solutions of which 63,974 are leaves.
 
-No state holds a set of done marks. The root branches on every edge in
-ascending id, so below root child first the root marks are the ids below
-it, and a state keeps only first = min(S). Below the root a mark is the
-edge's absence from the candidate sets. In the connected variant a mark
-made at a state A is on a candidate of A, so it touches V(S_A), which lies
-in V(S) below A. Only advance's scan of a new vertex v adds candidates. A
-back edge {v, w} has been an outer candidate since w joined, unless it was
-marked; an edge to a fresh w touches no ancestor's V(S), so only a root
-mark, an id below first, can block it. The non-connected variant never
-adds a candidate.
+No state holds a set of done marks. The child on branch[i] draws only on
+branch[i + 1:], so the candidates before it are marked by their position.
+The root branches on every edge in ascending id, so below root child first
+the root marks are the ids below it, and a state keeps only first = min(S).
+Below the root a mark is the edge's absence from the candidates. In the
+connected variant a mark made at a state A is on a candidate of A, so it
+touches V(S_A), which lies in V(S) below A. Only advance's scan of a new
+vertex v adds candidates. A back edge {v, w} has been an outer candidate
+since w joined, unless it was marked; an edge to a fresh w touches no
+ancestor's V(S), so only a root mark, an id below first, can block it. The
+non-connected variant never adds a candidate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 
 from .enum_core import CONNECTIVITIES, SolutionSink, search, validate_fast_input
@@ -60,49 +69,52 @@ class EdgeRunStats:
 
 
 class EdgeEnumState:
-    """Per-iteration state: edge solution, inner/outer candidates, within-solution distances.
+    """Per-iteration state: edge solution, candidates in branch order, within-solution distances.
 
     first is the edge the root branched on, min(S), and -1 at the root; the
     root marks this state inherited are the ids below it.
 
     solution is a frozenset, so emitting it copies nothing.
 
+    branch lists the candidates in the order the state branches on them, and
+    n_inner counts the inner ones. In the connected variant they come first,
+    so branch is the inner candidates, then the outer ones, each in ascending
+    id; in the non-connected variant branch is ascending, and an inner
+    candidate is one with both endpoints in one component of the solution.
+    No state is changed once built: the child on branch[i] draws only on
+    branch[i + 1:].
+
     dist has a row for every vertex of the solution subgraph, not just those
     touching a candidate; a shortest path may run through vertices that no
     candidate is incident to. Its key set is V(S), so the engine tests a
     vertex for V(S) against dist. Rows are never changed once built, so a
     child shares with its parent every row its step leaves unchanged. Every
-    state below the empty root, single-edge ones included, gets its table
-    from the one table step update_dist_s; a leaf (no candidate) has dist
-    None.
+    table below the empty root, single-edge states included, comes from the
+    one table step update_dist_s. A state whose only child has no candidate
+    has dist None (module docstring).
 
-    In the non-connected variant inner_cand holds the candidates with both
-    endpoints in one component of the solution, outer_cand every other one,
-    and a row of dist holds only the vertices of its own component.
+    In the non-connected variant a row of dist holds only the vertices of
+    its own component.
     """
 
-    __slots__ = ("g", "k", "solution", "inner_cand", "outer_cand", "first", "dist")
+    __slots__ = ("g", "k", "solution", "branch", "n_inner", "first", "dist")
 
-    def __init__(self, g, k, solution, inner_cand, outer_cand, first, dist):
+    def __init__(self, g, k, solution, branch, n_inner, first, dist):
         self.g = g
         self.k = k
         self.solution = solution
-        self.inner_cand = inner_cand
-        self.outer_cand = outer_cand
+        self.branch = branch
+        self.n_inner = n_inner
         self.first = first
         self.dist = dist
 
     @property
     def blocked(self) -> range:
-        """Ids of the root marks this state inherited, a view the engine never reads; at the root, its branched edges."""
-        return range(self.first if self.solution else self.g.m - len(self.outer_cand))
-
-    @property
-    def cand(self) -> set[int]:
-        return self.inner_cand | self.outer_cand
+        """Ids of the root marks this state inherited, a view the engine never reads; none at the root."""
+        return range(self.first)
 
     def get_dist(self, x: int, y: int) -> Length:
-        """dist[x][y], INFINITE across components; only a state with a candidate has a table."""
+        """dist[x][y], INFINITE across components; only a state whose child branches has a table."""
         row = self.dist.get(x)
         if row is None:
             return INFINITE
@@ -111,7 +123,7 @@ class EdgeEnumState:
 
 def initial_state(g: Graph, k: Length) -> EdgeEnumState:
     """State for the empty solution: no vertices, every edge an outer candidate."""
-    return EdgeEnumState(g, k, frozenset(), set(), set(range(g.m)), -1, {})
+    return EdgeEnumState(g, k, frozenset(), list(range(g.m)), 0, -1, {})
 
 
 def pair_girth_ok(state: EdgeEnumState, e: int, f: int) -> bool:
@@ -185,136 +197,181 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
     return new
 
 
-def advance(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
-    """Child state for solution S + {e}; the parent is left untouched.
+def _count_leaf_pick(state: EdgeEnumState, stats: EdgeRunStats | None) -> None:
+    """Count the pick of a state without a table, whose one child is a leaf; it makes no girth test."""
+    if stats is not None:
+        if state.n_inner:
+            stats.inner_picks += 1
+        else:
+            stats.outer_picks += 1
 
-    One pass per step kind builds the (inner, outer) candidate sets, and each
-    O(1) girth test is counted in pair_checks where it is made:
-    - inner e: outer candidates stay valid untouched (their loose endpoint
-      still has degree one, so they close no cycle) and the remaining inner
-      ones are re-validated in O(1) each by pair_girth_ok.
+
+def _child_is_a_leaf(g: Graph, d, u: int, v: int, c: int, first: int) -> bool:
+    """Has the child on c no candidate, when c is the one candidate left of S + {u-v} and outer?
+
+    d is the parent's table, so V(S + {u-v}) is its key set with u and v.
+    The child draws on no other candidate, so what it has are the edges at
+    c's fresh endpoint z that are not root-marked (an id above first) and
+    lead to a vertex outside V(S + {u-v}).
+    """
+    a, b, _ = g.edges[c]
+    z = b if a in d or a == u or a == v else a
+    for w, f in g.adj[z]:
+        if f > first and w not in d and w != u and w != v:
+            return False
+    return True
+
+
+def advance(
+    state: EdgeEnumState, i: int, solution: frozenset[int], stats: EdgeRunStats | None = None
+) -> EdgeEnumState | None:
+    """Child state on e = branch[i], with the solution S + {e}, or None if it has no candidate.
+
+    The child draws on branch[i + 1:] alone, so the candidates before e are
+    excluded from its subtree by position; the parent is left untouched.
+    One pass per step kind builds the child's inner and outer lists, and
+    each O(1) girth test is counted in pair_checks where it is made:
+    - inner e: the outer candidates stay valid untouched (their loose
+      endpoint still has degree one, so they close no cycle) and the inner
+      ones after e are re-validated in O(1) each by pair_girth_ok.
     - the empty root: both endpoints are new, and every edge at either of
       them with an id above e, the child's first, becomes outer.
-    - outer e = {u, v} with new endpoint v: old candidates survive as they
-      are, and each edge at v is classified. An edge {v, w} back into the
-      solution is unmarked iff it is still an outer candidate (module
-      docstring); then it closes a cycle of length d[u][w] + 2 and becomes
-      inner if that is long enough. An edge to a fresh vertex becomes outer
-      iff its id is above first.
-    A child with no candidate is a leaf and gets no table.
+    - outer e = {u, v} with new endpoint v: every inner candidate lies
+      before e, and the outer ones after it survive as they are. Each edge
+      at v is classified. An edge {v, w} back into the solution is unmarked
+      iff it is an outer candidate after e (module docstring); then it
+      closes a cycle of length d[u][w] + 2 and becomes inner if that is
+      long enough. An edge to a fresh vertex becomes outer iff its id is
+      above first.
+    A child with one candidate gets no table when its own child has no
+    candidate. A state with no table is one of those, so on it the call
+    only counts the pick.
     """
-    g = state.g
-    u, v, _ = g.edges[e]
     d = state.dist
-    du = d.get(u)
+    if d is None:
+        _count_leaf_pick(state, stats)
+        return None
+    g = state.g
+    branch = state.branch
+    n_inner = state.n_inner
+    e = branch[i]
+    u, v, _ = g.edges[e]
     first = state.first
-    if du is not None and v in d:
-        inner = {f for f in state.inner_cand if f != e and pair_girth_ok(state, e, f)}
-        outer = set(state.outer_cand)
+    if i < n_inner:
+        inner = [f for f in branch[i + 1 : n_inner] if pair_girth_ok(state, e, f)]
+        outer = branch[n_inner:]
         if stats is not None:
             stats.inner_picks += 1
-            stats.pair_checks += len(state.inner_cand) - 1  # one pair_girth_ok call per other inner candidate
+            stats.pair_checks += n_inner - i - 1  # one pair_girth_ok call per later inner candidate
     elif not d:
         first = e
-        inner = set()
-        outer = {f for _, f in g.adj[u] + g.adj[v] if f > e}
+        inner = []
+        outer = sorted(f for _, f in g.adj[u] + g.adj[v] if f > e)
         if stats is not None:
             stats.outer_picks += 1
     else:
+        du = d.get(u)
         if du is None:
             u, v = v, u
             du = d[u]
-        inner = set(state.inner_cand)
-        outer = set(state.outer_cand)
-        outer.discard(e)
-        checks = 0
+        outer = branch[i + 1 :]
+        inner = []
+        fresh = []
+        dropped = []
+        k = state.k
         for w, f in g.adj[v]:
             if w in d:
-                if f in outer:
-                    checks += 1
-                    outer.remove(f)
-                    if du[w] + 2 >= state.k:
-                        inner.add(f)
+                if f > e:
+                    j = bisect_left(outer, f)
+                    if j < len(outer) and outer[j] == f:
+                        dropped.append(j)
+                        if du[w] + 2 >= k:
+                            inner.append(f)
             elif f > first:
-                outer.add(f)
+                fresh.append(f)
         if stats is not None:
             stats.outer_picks += 1
-            stats.pair_checks += checks
-    dist = update_dist_s(state, e) if inner or outer else None
-    return EdgeEnumState(g, state.k, state.solution | {e}, inner, outer, first, dist)
+            stats.pair_checks += len(dropped)
+        if dropped:
+            dropped.sort(reverse=True)
+            for j in dropped:
+                del outer[j]
+            inner.sort()
+        if fresh:
+            outer += fresh
+            outer.sort()
+    if inner:
+        if len(inner) == 1 and not outer:
+            return EdgeEnumState(g, state.k, solution, inner, 1, first, None)
+        return EdgeEnumState(g, state.k, solution, inner + outer, len(inner), first, update_dist_s(state, e))
+    if not outer:
+        return None
+    if len(outer) == 1 and _child_is_a_leaf(g, d, u, v, outer[0], first):
+        return EdgeEnumState(g, state.k, solution, outer, 0, first, None)
+    return EdgeEnumState(g, state.k, solution, outer, 0, first, update_dist_s(state, e))
 
 
-def exclude_candidate(state: EdgeEnumState, e: int) -> None:
-    """Drop e from this iteration's remaining subtree (the done-set step).
+def advance_any(
+    state: EdgeEnumState, i: int, solution: frozenset[int], stats: EdgeRunStats | None = None
+) -> EdgeEnumState | None:
+    """Child state on e = branch[i] in the non-connected variant, or None if it has no candidate.
 
-    Dropping e from the candidate sets is the whole mark, at the root too
-    (module docstring).
+    The child draws on branch[i + 1:] alone, in one pass that keeps its
+    ascending order; the parent is left untouched. Only a candidate whose
+    pair distance can drop is tested again, in O(1): after an inner e, the
+    inner candidates of e's component, by pair_girth_ok; after a joining e,
+    the candidates running between the two components it joins. Those
+    become inner if the cycle they would close, d[x][u] + 2 + d[v][y], is
+    long enough. Every other candidate keeps its class. Below a state with
+    one candidate every child is a leaf, since this variant never adds a
+    candidate; such a state gets no table, and on it the call only counts
+    the pick.
     """
-    state.inner_cand.discard(e)
-    state.outer_cand.discard(e)
-
-
-def branch_order(state: EdgeEnumState) -> list[int]:
-    """Edges to branch on: inner candidates, then outer ones, each in ascending id.
-
-    Most states have no outer candidate and half are leaves (97,044 and
-    63,974 of 123,378 on K7 at k=4), so they skip the sorts they do not need.
-    """
-    inner, outer = state.inner_cand, state.outer_cand
-    if outer:
-        return sorted(inner) + sorted(outer)
-    return sorted(inner) if inner else []
-
-
-def advance_any(state: EdgeEnumState, e: int, stats: EdgeRunStats | None = None) -> EdgeEnumState:
-    """Child state for S + {e} in the non-connected variant; the parent is left untouched.
-
-    Only a candidate whose pair distance can drop is tested again, in O(1):
-    after an inner e, the inner candidates of e's component, by
-    pair_girth_ok; after a joining e, the outer candidates running between
-    the two components it joins, found from the adjacency of the smaller one.
-    Those become inner if the cycle they would close, d[x][u] + 2 + d[v][y],
-    is long enough. Every other candidate keeps its class. A child with no
-    candidate is a leaf and gets no table.
-    """
-    g = state.g
-    k = state.k
-    edges = g.edges
     d = state.dist
+    if d is None:
+        _count_leaf_pick(state, stats)
+        return None
+    k = state.k
+    edges = state.g.edges
+    e = state.branch[i]
     u, v = edges[e][0], edges[e][1]
     du = d.get(u)
-    outer = set(state.outer_cand)
+    branch = []
+    n_inner = checks = 0
     if du is not None and v in du:
-        inner = {
-            f for f in state.inner_cand if f != e and (edges[f][0] not in du or pair_girth_ok(state, e, f))
-        }
+        for f in state.branch[i + 1 :]:
+            x, y, _ = edges[f]
+            if y in d.get(x, ()):
+                if x in du:
+                    checks += 1
+                    if not pair_girth_ok(state, e, f):
+                        continue
+                n_inner += 1
+            branch.append(f)
         if stats is not None:
             stats.inner_picks += 1
-            stats.pair_checks += sum(1 for f in state.inner_cand if f != e and edges[f][0] in du)
     else:
-        inner = set(state.inner_cand)
-        outer.discard(e)
         du = du or {u: 0}
         dv = d.get(v) or {v: 0}
-        near, far = (du, dv) if len(du) <= len(dv) else (dv, du)
-        adj = g.adj
-        for x, dx in near.items():
-            for y, f in adj[x]:
-                if y in far and f in outer:
-                    outer.discard(f)
-                    if dx + 2 + far[y] >= k:
-                        inner.add(f)
+        for f in state.branch[i + 1 :]:
+            x, y, _ = edges[f]
+            if y in d.get(x, ()):
+                n_inner += 1
+            elif x in du and y in dv or x in dv and y in du:
+                checks += 1
+                if (du[x] + dv[y] if x in du else dv[x] + du[y]) + 2 < k:
+                    continue
+                n_inner += 1
+            branch.append(f)
         if stats is not None:
             stats.outer_picks += 1
-            # every candidate the loop tested left outer, and none was added
-            stats.pair_checks += len(state.outer_cand) - (e in state.outer_cand) - len(outer)
-    dist = update_dist_s(state, e) if inner or outer else None
-    return EdgeEnumState(g, k, state.solution | {e}, inner, outer, state.first if state.solution else e, dist)
-
-
-def branch_order_any(state: EdgeEnumState) -> list[int]:
-    """Edges to branch on in the non-connected variant: every candidate in ascending id."""
-    return sorted(state.inner_cand | state.outer_cand)
+    if stats is not None:
+        stats.pair_checks += checks
+    if not branch:
+        return None
+    first = state.first if state.solution else e
+    dist = update_dist_s(state, e) if len(branch) > 1 else None
+    return EdgeEnumState(state.g, k, solution, branch, n_inner, first, dist)
 
 
 def enumerate_edges_fast(
@@ -336,23 +393,24 @@ def enumerate_edges_fast(
     The root branches on every single edge in ascending id order; below that,
     inner candidates are taken before outer ones. With connectivity="any"
     every subgraph of girth >= k counts, and every state branches in
-    ascending id, so the stream equals the baseline engine's. `prune` may cut
-    a subtree after its root solution was emitted (used by the extremal
-    search). It must be monotone (see `search`): the children a state has
-    left once it cuts are emitted unbuilt, with no `advance` or `on_state`.
+    ascending id, so the stream equals the baseline engine's.
+    `prune(state, left)` may cut a subtree after its root solution was
+    emitted (used by the extremal search); `left` is the number of
+    candidates the state has not branched on. It must be monotone (see
+    `search`): the children a state has left once it cuts are emitted
+    unbuilt, with no `advance` or `on_state`. `on_state` sees only the built
+    states: the root and every state with a candidate, never a leaf.
     `stats.iterations` counts every state emitted, the root included;
-    `inner_picks`, `outer_picks` and `pair_checks` only the built children.
-    Returns the number of solutions emitted.
+    `inner_picks`, `outer_picks` and `pair_checks` count the children
+    advance is asked for, leaves included. Returns the number of solutions
+    emitted.
     """
     validate_fast_input(g, k)
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
-    any_mode = connectivity == "any"
     return search(
         initial_state(g, k),
-        branch_order_any if any_mode else branch_order,
-        advance_any if any_mode else advance,
-        exclude_candidate,
+        advance_any if connectivity == "any" else advance,
         sink,
         include_empty=include_empty,
         limit=limit,

@@ -1,15 +1,15 @@
 """Depth-first search shared by the engines, the baseline enumerator, the brute-force reference.
 
 Every engine emits each qualifying subgraph exactly once: each iteration
-outputs its solution, then branches on its candidate elements in order,
-excluding already-branched elements from the remaining subtree. `search`
+outputs its solution, then branches on its candidate elements in order, and
+the child on the i-th element draws only on the elements after it, so the
+already-branched ones are excluded from its subtree by position. `search`
 runs that loop; the engines differ only in how a child state is built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import attrgetter
 
 from .errors import BudgetExceededError, ValidationError
 from .girth import girth_of_adjacency, girth_weighted
@@ -71,7 +71,7 @@ class BaselineState:
     def __init__(self, solution: frozenset[int], excluded: set[int]):
         self.solution = solution
         self.excluded = excluded
-        self.cands: list[int] = []
+        self.branch: list[int] = []
 
 
 class Collector:
@@ -140,7 +140,7 @@ def _solution_ok(g: Graph, members: set[int], cfg: EnumConfig) -> bool:
     if g.weighted:
         sub = induced_subgraph(g, members) if cfg.mode == "induced" else edge_subgraph(g, members)
         return girth_weighted(sub) >= cfg.k
-    return girth_of_adjacency(adj) >= cfg.k
+    return girth_of_adjacency(adj, cfg.k) >= cfg.k
 
 
 def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[int]:
@@ -161,44 +161,46 @@ def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[
 
 def search(
     root,
-    order: Callable[[object], list[int]],
-    advance: Callable[[object, int, object], object],
-    exclude: Callable[[object, int], object],
+    advance: Callable[[object, int, frozenset[int], object], object],
     sink: SolutionSink | None,
     *,
     include_empty: bool = True,
     limit: int | None = None,
-    prune: Callable[[object], bool] | None = None,
+    prune: Callable[[object, int], bool] | None = None,
     on_state: Callable[[object], object] | None = None,
     stats=None,
 ) -> int:
     """Depth-first binary-partition search from the empty-solution state `root`.
 
-    The root is passed to `on_state`, and the empty solution is emitted first
-    when `include_empty` is set. Every state then branches on the elements
-    `order(state)` lists: the child for element x is `advance(state, x,
-    stats)`, built before `exclude(state, x)` drops x from the rest of the
-    state's subtree. Each child is passed to `on_state`, then its solution,
-    a frozenset in every engine, is emitted as it is.
+    Every state lists the elements it branches on, in order, as `branch`.
+    Its child on branch[i] has the solution `state.solution | {branch[i]}`,
+    which search forms, and it is built by `advance(state, i, solution,
+    stats)` from the elements after i alone: the ones before i are excluded
+    from its subtree by their position, so no state is changed once built.
+    `advance` returns None for a child with no candidate; search then
+    emits the child's solution without any state. The root is passed to
+    `on_state`, and the empty solution is emitted first when
+    `include_empty` is set; each built child is passed to `on_state`, then
+    its solution is emitted.
 
-    `prune(state)` is asked about a state with elements to branch on when it
-    is built; returning True skips its subtree but keeps its solution. It is
-    asked again, on the candidates the state has left, before each later
-    child. Once it says True there, the state's remaining children are
-    emitted as `state.solution | {x}`, in order, without being built: no
-    `advance`, `exclude`, `order`, `prune` or `on_state` call. This is sound
-    for a monotone prune, one that, when it cuts a state, would also cut
-    every child built from the state's remaining elements; such a child's
-    own subtree would be skipped, so its solution is all it emits.
-    `on_state` sees only the states that are built, the empty root
-    included; in the edge engine that root is a state of its own, with
-    every edge an outer candidate.
+    `prune(state, left)` is asked about a state when it is built, with
+    `left` = len(state.branch); returning True skips its subtree but keeps
+    its solution. It is asked again before each later child i, with `left` =
+    len(state.branch) - i, the candidates the state has left. Once it says
+    True there, the state's remaining children are emitted as
+    `state.solution | {x}`, in order, without an `advance`, `prune` or
+    `on_state` call. This is sound for a monotone prune, one that, when it
+    cuts a state, would also cut every child built from the state's
+    remaining elements; such a child's own subtree would be skipped, so its
+    solution is all it emits. `on_state` sees only the states that are
+    built, the empty root included; in the edge engine that root is a state
+    of its own, with every edge an outer candidate.
 
     `stats`, when given, gets `iterations` (states emitted, built or not,
     with the root) and `max_depth` (the root has depth 1); the engines'
-    own counters see only the built children. Returns the number of
-    solutions emitted, partial if `limit` or the sink stopped the run; a
-    negative `limit` raises ValidationError.
+    own counters see only the children `advance` is called for. Returns
+    the number of solutions emitted, partial if `limit` or the sink stopped
+    the run; a negative `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
     emit = emitter.emit
@@ -209,43 +211,46 @@ def search(
         on_state(root)
     if include_empty and not emit(frozenset()):
         return emitter.count
-    # each frame is (state, iterator over the elements it has still to branch on)
+    # each frame is (state, iterator over the positions and elements it has still to branch on)
     stack = []
-    todo = order(root)
-    if todo and (prune is None or not prune(root)):
-        stack.append((root, iter(todo)))
+    if root.branch and (prune is None or not prune(root, len(root.branch))):
+        stack.append((root, enumerate(root.branch)))
     # pushed: the top frame has built no child yet, so its prune answer is current
     pushed = True
     while stack:
         state, it = stack[-1]
-        for x in it:
+        parent = state.solution
+        for i, x in it:
             if prune is not None:
                 if pushed:
                     pushed = False
-                elif prune(state):
+                elif prune(state, len(state.branch) - i):
                     # each child left would be cut, so its solution is all it
                     # emits; a built sibling already reached their depth
                     stack.pop()
-                    for y in (x, *it):
+                    for y in state.branch[i:]:
                         if stats is not None:
                             stats.iterations += 1
-                        if not emit(state.solution | {y}):
+                        if not emit(parent | {y}):
                             return emitter.count
                     break
-            child = advance(state, x, stats)
-            exclude(state, x)
+            solution = parent | {x}
+            child = advance(state, i, solution, stats)
             if stats is not None:
                 stats.iterations += 1
                 depth = len(stack) + 1
                 if depth > stats.max_depth:
                     stats.max_depth = depth
+            if child is None:
+                if not emit(solution):
+                    return emitter.count
+                continue
             if on_state is not None:
                 on_state(child)
-            if not emit(child.solution):
+            if not emit(solution):
                 return emitter.count
-            todo = order(child)
-            if todo and (prune is None or not prune(child)):
-                stack.append((child, iter(todo)))
+            if prune is None or not prune(child, len(child.branch)):
+                stack.append((child, enumerate(child.branch)))
                 pushed = True
                 break
         else:
@@ -258,7 +263,7 @@ def enumerate_baseline(
     cfg: EnumConfig,
     sink: SolutionSink | None = None,
     *,
-    prune: Callable[[BaselineState], bool] | None = None,
+    prune: Callable[[BaselineState, int], bool] | None = None,
 ) -> int:
     """Enumerate every solution exactly once with from-scratch candidate checks.
 
@@ -267,32 +272,28 @@ def enumerate_baseline(
     duplicates. The empty solution is emitted first when configured. Returns
     the number of solutions emitted (partial if the sink stopped the run).
 
-    `prune` is consulted with a state that has candidates (its solution and
-    sorted candidates) before its subtree is expanded; returning True skips
-    the subtree but keeps its root solution. It is asked again before each
+    `prune(state, left)` is consulted with a state that has candidates (its
+    solution and sorted `branch`) before its subtree is expanded, `left`
+    being the candidates it has not branched on; returning True skips the
+    subtree but keeps its root solution. It is asked again before each
     later child and must be monotone, as `search` says: once it cuts, the
-    remaining children are emitted without being built. A state's `cands`
-    keeps the elements already branched on, so a bound read off it only
-    overcounts. The baseline keeps no stats; the return value counts every
-    emitted solution.
+    remaining children are emitted without being built. The baseline keeps
+    no stats; the return value counts every emitted solution.
     """
     cfg.validate()
 
-    def with_cands(state: BaselineState) -> BaselineState:
-        state.cands = sorted(candidate_set_naive(g, state, cfg))
+    def build(solution: frozenset[int], excluded: set[int]) -> BaselineState:
+        state = BaselineState(solution, excluded)
+        state.branch = sorted(candidate_set_naive(g, state, cfg))
         return state
 
-    def advance(state: BaselineState, x: int, stats) -> BaselineState:
-        return with_cands(BaselineState(state.solution | {x}, set(state.excluded)))
-
-    def exclude(state: BaselineState, x: int) -> None:
-        state.excluded.add(x)
+    def advance(state: BaselineState, i: int, solution: frozenset[int], stats) -> BaselineState | None:
+        child = build(solution, state.excluded.union(state.branch[:i]))
+        return child if child.branch else None
 
     return search(
-        with_cands(BaselineState(frozenset(), set())),
-        attrgetter("cands"),
+        build(frozenset(), set()),
         advance,
-        exclude,
         sink,
         include_empty=cfg.include_empty,
         limit=cfg.limit,

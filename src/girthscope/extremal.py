@@ -81,16 +81,17 @@ def densest_girth_graphs(
     connectivity = "connected" if connected_only else "any"
     if connected_only:
 
-        def prune(state: EdgeEnumState) -> bool:
-            # Optimistic reachable size: current solution, live candidates, and
-            # the unmarked pairs of fresh vertices (an outer step can still turn
-            # those into candidates; edges that touched and dropped out are
-            # dead for good, since girth only decreases along a branch). Only
-            # root marks, the ids below first = {a, b}, block a fresh pair; K_n
-            # numbers its edges in lexicographic order, so they are every {u, w}
-            # with u < a, plus {a, w} with w < b, and the unmarked fresh pairs
-            # are those among the fresh vertices above a = min V(S). search asks
-            # only about states that branch, whose table keys are V(S).
+        def prune(state: EdgeEnumState, left: int) -> bool:
+            # Optimistic reachable size: current solution, the candidates it
+            # has left, and the unmarked pairs of fresh vertices (an outer
+            # step can still turn those into candidates; edges that touched
+            # and dropped out are dead for good, since girth only decreases
+            # along a branch). Only root marks, the ids below first = {a, b},
+            # block a fresh pair; K_n numbers its edges in lexicographic
+            # order, so they are every {u, w} with u < a, plus {a, w} with
+            # w < b, and the unmarked fresh pairs are those among the fresh
+            # vertices above a = min V(S). A table's key set is V(S); a state
+            # without one counts V(S) from its solution.
             # Monotone, as search's shortcut needs: the child on a remaining
             # candidate e moves e from the candidates into the solution; its
             # other candidates are the parent's remaining ones or edges from
@@ -98,16 +99,17 @@ def densest_girth_graphs(
             # fresh-pair count as that endpoint stops being fresh. So its
             # bound is at most the parent's.
             d = state.dist
+            if d is None:
+                d = {x for e in state.solution for x in g.edges[e][:2]}
             fresh = n - len(d) - (g.edges[state.first][0] if d else 0)
-            reachable = len(state.solution) + len(state.inner_cand) + len(state.outer_cand) + fresh * (fresh - 1) // 2
-            return reachable < best_size
+            return len(state.solution) + left + fresh * (fresh - 1) // 2 < best_size
     else:
 
-        def prune(state: EdgeEnumState) -> bool:
+        def prune(state: EdgeEnumState, left: int) -> bool:
             # every edge that can still join is already a candidate. Monotone:
             # girth >= k survives deleting an edge, so every candidate of the
             # child S + e is a remaining candidate of S other than e
-            return len(state.solution) + len(state.inner_cand) + len(state.outer_cand) < best_size
+            return len(state.solution) + left < best_size
 
     explored = enumerate_edges_fast(g, k, sink=sink, connectivity=connectivity, limit=limit, prune=prune)
 

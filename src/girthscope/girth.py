@@ -8,15 +8,18 @@ from collections.abc import Sequence
 from .graph import Graph, INFINITE, Length
 
 
-def girth_of_adjacency(adj: Sequence[Sequence[int]]) -> Length:
-    """Exact girth of a graph given as plain adjacency lists.
+def girth_of_adjacency(adj: Sequence[Sequence[int]], bound: Length = INFINITE) -> Length:
+    """Girth of a graph given as plain adjacency lists, exact below `bound`; `bound` if it is not below.
 
     BFS from every root; every non-tree edge (u, w) closes a walk of length
     level(u) + level(w) + 1. A closed walk of length L contains a cycle of
     length <= L, and a root on a shortest cycle produces an estimate equal to
-    the girth, so the minimum over all roots and edges is exact.
+    the girth, so the minimum over all roots and edges is exact. Starting
+    the minimum at `bound` stops each BFS once no shorter cycle can appear,
+    and a triangle stops the whole search, since no cycle is shorter; so
+    girth_of_adjacency(adj, k) >= k tells whether the girth reaches k.
     """
-    best: Length = INFINITE
+    best: Length = bound
     n = len(adj)
     level: dict[int, int] = {}
     parent: dict[int, int] = {}
@@ -42,6 +45,8 @@ def girth_of_adjacency(adj: Sequence[Sequence[int]]) -> Length:
                 elif parent[u] != w:
                     est = lu + lw + 1
                     if est < best:
+                        if est == 3:
+                            return est
                         best = est
     return best
 

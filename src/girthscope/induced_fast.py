@@ -25,19 +25,21 @@ when those vertices became candidates. v's row holds every length the rule
 reads, so the filter needs no second table: it costs O(deg u) per candidate,
 and nothing when 2 * dist[u][v] >= k, since the second length is at least
 the first. dist is updated Floyd-Warshall style, one candidate row at a
-time. A step builds each of its sets once: the filter's survivors and the
+time. A step builds each of its lists once: the filter's survivors and the
 neighbours of v adopted through v alone go to update_dist as they are, and
-their union is the child's cand; at the root the filter's survivors, v's
-neighbours, attach through v alone and are the adopted set. The hot loops
-read the Graph's neighbour tuples and frozensets directly. Excluding a
-candidate only drops it from cand: its row and column stay in the table,
-unread, because every later read is keyed by a current candidate. Entries
-outside the scope are INFINITE by convention.
+together they are the child's branch; at the root v's neighbours above v
+attach through v alone and are the adopted set, with no filter asked. The
+hot loops read the Graph's neighbour tuples and frozensets directly. A child
+with no candidate is a leaf: advance returns None for it and search
+emits its solution without a state. Entries outside the scope are INFINITE
+by convention.
 
-No state holds a set of done marks. The root branches on every vertex in
-ascending id, so below root child first the root marks are the ids below
-it, and a state keeps only first = min(S). Below the root a vertex outside
-S and cand is excluded iff it has a neighbour in S or an id below first:
+No state holds a set of done marks. The child on branch[i] draws only on
+branch[i + 1:], so the candidates before it are marked by their position.
+The root branches on every vertex in ascending id, so below root child
+first the root marks are the ids below it, and a state keeps only first =
+min(S). Below the root a vertex outside S and cand is excluded iff it has
+a neighbour in S or an id below first:
 it became a candidate when its first S-neighbour joined, unless already
 excluded, and only exclusion removes a candidate; with no S-neighbour it
 was in no ancestor's cand, since every candidate below the root attaches
@@ -62,31 +64,40 @@ class InducedRunStats:
 
 
 class InducedEnumState:
-    """Per-iteration state: solution, candidate set, root-mark bound, distance table.
+    """Per-iteration state: solution, candidates in branch order, root-mark bound, distance table.
 
     solution is a frozenset, so emitting it copies nothing.
+
+    branch lists the candidates in ascending id, the order the state
+    branches on them; the child on branch[i] draws only on branch[i + 1:],
+    so no state is changed once built.
 
     first is the vertex the root branched on, min(S), and -1 at the root; the
     root marks this state inherited are the ids below it.
 
     dist is a dict of dicts holding finite entries only, never changed once
     built. It has one row per candidate, with solution and candidate columns,
-    so a step writes |cand| * (|S| + |cand|) entries. Rows of excluded
-    vertices stay in place unread. get_dist answers in scope, (S | cand) x
-    cand, and get_second on cand x cand; both report INFINITE elsewhere. No
+    so a step writes |cand| * (|S| + |cand|) entries, and its key set is the
+    candidate set. get_dist answers in scope, (S | cand) x cand, and
+    get_second on cand x cand; both report INFINITE elsewhere. No
     second-distance table is stored: get_second and the `second` property
     derive it from the distance rows, by the first-hop rule the filter uses.
     """
 
-    __slots__ = ("g", "k", "solution", "cand", "first", "dist")
+    __slots__ = ("g", "k", "solution", "branch", "first", "dist")
 
-    def __init__(self, g, k, solution, cand, first, dist):
+    def __init__(self, g, k, solution, branch, first, dist):
         self.g = g
         self.k = k
         self.solution = solution
-        self.cand = cand
+        self.branch = branch
         self.first = first
         self.dist = dist
+
+    @property
+    def cand(self):
+        """The candidate set, as a view of dist's keys."""
+        return self.dist.keys()
 
     @property
     def second(self) -> dict[int, dict[int, Length]]:
@@ -106,14 +117,15 @@ class InducedEnumState:
         return table
 
     def get_dist(self, x: int, y: int) -> Length:
-        if x not in self.cand:
+        cand = self.dist
+        if x not in cand:
             x, y = y, x  # a solution-candidate pair lives in the candidate's row
-        if x not in self.cand or (y not in self.cand and y not in self.solution):
+        if x not in cand or (y not in cand and y not in self.solution):
             return INFINITE
         return self.dist[x].get(y, INFINITE)
 
     def get_second(self, u: int, w: int) -> Length:
-        if u == w or u not in self.cand or w not in self.cand:
+        if u == w or u not in self.dist or w not in self.dist:
             return INFINITE
         return _second_distance_via_row(self.g, self.solution, u, w, self.dist[w])
 
@@ -129,7 +141,7 @@ def initial_state(g: Graph, k: Length) -> InducedEnumState:
         for nb in g.neighbors(v):
             row[nb] = 1
         dist[v] = row
-    return InducedEnumState(g, k, frozenset(), set(range(g.n)), -1, dist)
+    return InducedEnumState(g, k, frozenset(), list(range(g.n)), -1, dist)
 
 
 def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict[int, Length]) -> Length:
@@ -155,31 +167,26 @@ def _second_distance_via_row(g: Graph, sol: set[int], u: int, w: int, roww: dict
     return second
 
 
-def _split_old_candidates(state: InducedEnumState, v: int) -> set[int]:
-    """The old candidates that stay candidates of S + {v}; the rest are girth-dropped.
+def _split_old_candidates(state: InducedEnumState, i: int) -> list[int]:
+    """The candidates after v = branch[i] that stay candidates of S + {v}, in ascending id.
 
     u survives iff dist[u][v] + second >= k, where dist[u][v] = dist[v][u] is
     its smallest first-hop length and second the next one (module
     docstring); when 2 * dist[u][v] >= k the scan for second is skipped.
-    Below the root every candidate is attached to S, so all of cand - {v} is
-    scanned. At the empty-solution root only v's neighbours are attached to
-    {v}; they are the other keys of dist[v] still in cand (exclusion leaves
-    the keys in place), and all of them survive, since v is their only first
-    hop.
+    Below the root, the only place advance asks, every candidate is
+    attached to S, so all of branch[i + 1:] is scanned.
     """
+    branch = state.branch
+    v = branch[i]
     dv = state.dist[v]
     sol = state.solution
-    if not sol:
-        return state.cand.intersection(dv) - {v}
-    survivors: set[int] = set()
     g = state.g
     k = state.k
-    for u in state.cand:
-        if u == v:
-            continue
+    survivors = []
+    for u in branch[i + 1 :]:
         d = dv[u]
         if 2 * d >= k or d + _second_distance_via_row(g, sol, u, v, dv) >= k:
-            survivors.add(u)
+            survivors.append(u)
     return survivors
 
 
@@ -258,46 +265,38 @@ def update_dist(
     return new
 
 
-def advance(state: InducedEnumState, v: int, stats: InducedRunStats | None = None) -> InducedEnumState:
-    """Child state for solution S + {v}; the parent is left untouched.
+def advance(
+    state: InducedEnumState, i: int, solution: frozenset[int], stats: InducedRunStats | None = None
+) -> InducedEnumState | None:
+    """Child state on v = branch[i], with the solution S + {v}, or None if it has no candidate.
 
+    The child draws on branch[i + 1:] alone, so the candidates before v are
+    excluded from its subtree by position; the parent is left untouched.
     The filter's survivors and v's adopted neighbours are built once each:
-    update_dist writes their rows from the two sets, and their union is cand.
-    At the root the filter's survivors are v's unmarked neighbours, which
-    attach through v alone, so they are the adopted set. A child with no
-    candidate is a leaf: search never branches on it or offers it to prune,
-    so it gets an empty table without a call.
+    update_dist writes their rows from the two lists, and together they are
+    the child's branch. At the root the survivors would be v's neighbours
+    above v, which attach through v alone, so they are the adopted set.
     """
+    v = state.branch[i]
     if state.solution:
-        survivors = _split_old_candidates(state, v)
-        adopted = adopt_new_candidates(state, v)
+        survivors = _split_old_candidates(state, i)
+        adopted = sorted(adopt_new_candidates(state, v))
         first = state.first
         if stats is not None:
-            stats.candidate_pairs += len(state.cand) - 1  # the filter decides every other candidate
+            stats.candidate_pairs += len(state.branch) - i - 1  # the filter decides every later candidate
     else:
-        survivors = set()
-        adopted = _split_old_candidates(state, v)
+        survivors = []
+        adopted = sorted(y for y in state.g._neighbors[v] if y > v)
         first = v
         if stats is not None:
             stats.candidate_pairs += len(adopted)  # at the root, only v's neighbours
-    dist = update_dist(state, v, survivors, adopted) if survivors or adopted else {}
-    return InducedEnumState(state.g, state.k, state.solution | {v}, survivors | adopted, first, dist)
-
-
-def exclude_candidate(state: InducedEnumState, v: int) -> None:
-    """Drop v from this iteration's remaining subtree (the done-set step).
-
-    Dropping v from cand is the whole mark, at the root too (module
-    docstring). The table is not touched: every later read is keyed by a
-    current candidate, so v's row and column are never read again.
-    """
-    state.cand.discard(v)
-
-
-def branch_order(state: InducedEnumState) -> list[int]:
-    """Candidates to branch on, in ascending id; a leaf skips the sort."""
-    cand = state.cand
-    return sorted(cand) if cand else []
+    if not survivors and not adopted:
+        return None
+    dist = update_dist(state, v, survivors, adopted)
+    branch = survivors + adopted
+    if survivors and adopted:
+        branch.sort()
+    return InducedEnumState(state.g, state.k, solution, branch, first, dist)
 
 
 def enumerate_induced_fast(
@@ -314,16 +313,16 @@ def enumerate_induced_fast(
 
     Same solution set as the baseline engine in connected induced mode, but
     candidate sets are maintained incrementally. Each recursion level owns its
-    candidate set and distance table, so backtracking needs no undo; the
+    candidate list and distance table, so backtracking needs no undo; the
     root's exclusion marks are the ids below the vertex it branched on, which
-    each state keeps as one integer. Returns the number of solutions emitted.
+    each state keeps as one integer. `on_state` sees only the built states:
+    the root and every state with a candidate, never a leaf. Returns the
+    number of solutions emitted.
     """
     validate_fast_input(g, k)
     return search(
         initial_state(g, k),
-        branch_order,
         advance,
-        exclude_candidate,
         sink,
         include_empty=include_empty,
         limit=limit,

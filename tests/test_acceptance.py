@@ -33,9 +33,16 @@ from girthscope import (
 from girthscope import edges_fast
 from girthscope.cli import EXIT_OK, run_cli
 from girthscope.enum_core import search
+from girthscope.girth import girth_of_adjacency
 from girthscope.verify import all_connected_graphs, random_corpus
 from _oracles import brute_girth
-from _state_checks import check_edge_state, check_induced_state, filter_old_candidates, solution_vertices
+from _state_checks import (
+    check_edge_state,
+    check_induced_state,
+    filter_old_candidates,
+    inner_candidates,
+    outer_candidates,
+)
 
 THRESHOLDS = (3, 4, 5, 6, INFINITE)
 
@@ -129,16 +136,17 @@ def test_criterion_4_state_fidelity():
 def test_criterion_5_transition_invariants():
     # inner candidates never outnumber solution vertices; an inner step leaves
     # outer candidates untouched and strictly shrinks the inner set
-    def checking_advance(state, e, stats=None):
-        was_inner = e in state.inner_cand
-        pre_inner = frozenset(state.inner_cand)
-        pre_outer = frozenset(state.outer_cand)
-        nxt = edges_fast.advance(state, e, stats)
-        assert len(nxt.inner_cand) <= len(solution_vertices(nxt))
-        if was_inner:
-            assert nxt.outer_cand == pre_outer
-            assert nxt.inner_cand < pre_inner
-        checked.append(e)
+    def checking_advance(state, i, solution, stats=None):
+        # the child may draw on the candidates from position i on: e and the rest
+        pre_inner = frozenset(state.branch[i : state.n_inner])
+        pre_outer = frozenset(state.branch[max(i, state.n_inner) :])
+        nxt = edges_fast.advance(state, i, solution, stats)
+        inner, outer = (inner_candidates(nxt), outer_candidates(nxt)) if nxt is not None else (set(), set())
+        assert len(inner) <= len({x for e in solution for x in g.endpoints(e)})
+        if i < state.n_inner:
+            assert outer == pre_outer
+            assert inner < pre_inner
+        checked.append(state.branch[i])
         return nxt
 
     for g, ks in [(cycle_graph(4), (4,)), (complete_graph(4), (3, 4)), (petersen_graph(), (5,))]:
@@ -146,9 +154,7 @@ def test_criterion_5_transition_invariants():
             checked: list[int] = []
             count = search(
                 edges_fast.initial_state(g, k),
-                edges_fast.branch_order,
                 checking_advance,
-                edges_fast.exclude_candidate,
                 None,
                 include_empty=False,
                 limit=20_000,
@@ -158,6 +164,8 @@ def test_criterion_5_transition_invariants():
     # the induced candidate filter agrees with a from-scratch girth check on every
     # (candidate, added-vertex) pair the filter ever decides
     def check_filter(st):
+        if not st.solution:  # the root asks no filter
+            return
         for v in st.cand:
             keep = filter_old_candidates(st, v)
             for u in st.cand - {v}:
@@ -199,8 +207,7 @@ def test_criterion_7_speedup():
     assert report.speedup >= 10.0, f"speedup {report.speedup:.1f}x below the 10x bound"
 
 
-@criterion(8, "girth oracles agree with brute-force shortest cycles")
-def test_criterion_8_girth_oracles():
+def criterion_8_graphs():
     rng = random.Random(9090)
     graphs = [cycle_graph(n) for n in range(3, 10)]
     graphs += [complete_graph(n) for n in (2, 3, 4, 5)]
@@ -212,13 +219,31 @@ def test_criterion_8_girth_oracles():
         graphs.append(
             Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         )
-    for g in graphs:
+    return graphs
+
+
+@criterion(8, "girth oracles agree with brute-force shortest cycles")
+def test_criterion_8_girth_oracles():
+    for g in criterion_8_graphs():
         assert girth_unweighted(g) == brute_girth(g), g.edges
         assert girth_weighted(g) == girth_unweighted(g), g.edges  # unit weights agree
     # hand-computable weighted cycles: the lone cycle's weight is the girth
     assert girth_weighted(cycle_graph(4, [1, 1, 1, 5])) == 8
     assert girth_weighted(cycle_graph(3, [1, 2, 3])) == 6
     assert girth_weighted(cycle_graph(5, [2, 3, 4, 5, 6])) == 20
+
+
+def test_bounded_girth_tells_whether_the_girth_reaches_k():
+    # brute force asks girth_of_adjacency only whether the girth reaches k:
+    # starting its bound at k must give the same verdict as the exact girth,
+    # and the exact girth itself whenever that is below k
+    for g in criterion_8_graphs():
+        adj = [g.neighbors(v) for v in range(g.n)]
+        girth = girth_unweighted(g)
+        for k in (3, 4, 5, 6, 7, INFINITE):
+            bounded = girth_of_adjacency(adj, k)
+            assert (bounded >= k) == (girth >= k), (g.edges, k)
+            assert bounded == min(girth, k), (g.edges, k)
 
 
 @criterion(9, "byte-identical output across repeated enum invocations")

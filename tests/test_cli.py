@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +29,7 @@ from girthscope.cli import (
     EXIT_DISCREPANCY,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PIPE,
     EXIT_USAGE,
     EXIT_VALIDATION,
     run_cli,
@@ -400,3 +406,29 @@ def test_each_error_path_exits_with_its_code(argv, fake_engine, code, prefix, tm
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     assert run_cli(argv) == code
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--graph", "k6.txt", "-k", "4", "--mode", "edge"],
+        ["extremal", "-n", "7", "-k", "6"],
+    ],
+)
+def test_closed_stdout_stops_quietly(argv, tmp_path):
+    # `girthscope enum ... | head -1`: the reader closes the pipe after one
+    # line, long before the output (more than a pipe buffer) is written
+    (tmp_path / "k6.txt").write_text("".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "girthscope.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_PIPE
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr

@@ -22,22 +22,23 @@ from girthscope import (
 )
 from girthscope import edges_fast
 from girthscope.edges_fast import (
+    EdgeEnumState,
     EdgeRunStats,
     advance,
     advance_any,
-    branch_order,
-    branch_order_any,
-    exclude_candidate,
     initial_state,
     pair_girth_ok,
     update_dist_s,
 )
-from girthscope.enum_core import search
+from girthscope.enum_core import BaselineState, candidate_set_naive, search
 from girthscope.verify import random_corpus
 from _state_checks import (
     MarkRecorder,
     check_advance_keeps_parent,
     check_edge_state,
+    child_on,
+    inner_candidates,
+    outer_candidates,
     select_edge,
     solution_bfs_levels,
     solution_vertices,
@@ -46,14 +47,14 @@ from _state_checks import (
 
 def seed_state(g, k, eid):
     """The single-edge state {eid}: the empty root advanced on eid, so the edges below eid are its root marks."""
-    return advance(initial_state(g, k), eid)
+    return child_on(initial_state(g, k), eid, advance)
 
 
 def drive(g, k, edge_ids):
-    """Seed on the first edge id, then advance through the rest."""
+    """Seed on the first edge id, then advance through the rest; each step excludes the candidates before it."""
     st = seed_state(g, k, edge_ids[0])
     for e in edge_ids[1:]:
-        st = advance(st, e)
+        st = child_on(st, e, advance)
     return st
 
 
@@ -61,39 +62,52 @@ def test_seed_state_bootstrap():
     k3 = complete_graph(3)  # edge ids: (0,1)=0, (0,2)=1, (1,2)=2
     st = seed_state(k3, 4, 0)
     assert st.solution == {0} and solution_vertices(st) == {0, 1}
-    assert st.inner_cand == set() and st.outer_cand == {1, 2}
+    assert inner_candidates(st) == set() and outer_candidates(st) == {1, 2}
     assert st.get_dist(0, 1) == 1
     st2 = seed_state(k3, 4, 1)  # edge 0 is marked
-    assert st2.outer_cand == {2}
+    assert outer_candidates(st2) == {2}
 
 
 def test_select_edge_rule():
     k3 = complete_graph(3)
     st = seed_state(k3, 3, 0)
-    assert select_edge(st) == 1  # lowest-id outer: the edge (0,2)
-    st.inner_cand.add(2)
-    assert select_edge(st) == 2  # inner takes priority
-    st.inner_cand.clear()
-    st.outer_cand.clear()
+    assert select_edge(st) == 1 == st.branch[0]  # lowest-id outer: the edge (0,2)
+    st = child_on(st, 1, advance)
+    assert inner_candidates(st) == {2} and select_edge(st) == 2
     with pytest.raises(ValueError):
-        select_edge(st)
+        select_edge(EdgeEnumState(k3, 3, frozenset({0, 1, 2}), [], 0, 0, None))
+    # every state branches on the selected edge first: inner candidates
+    # before outer ones, each in ascending id
+    states = 0
+
+    def check(st):
+        nonlocal states
+        states += 1
+        assert st.branch[0] == select_edge(st)
+        assert st.branch == sorted(inner_candidates(st)) + sorted(outer_candidates(st))
+
+    for g, k in [(complete_graph(5), 3), (complete_graph(5), 4), (petersen_graph(), 5)]:
+        enumerate_edges_fast(g, k, on_state=check, limit=5000)
+    assert states
 
 
 def candidates_after(state, e):
-    """(inner, outer) candidate sets of the child S + {e}."""
-    child = advance(state, e)
-    return child.inner_cand, child.outer_cand
+    """(inner, outer) candidate sets of the child S + {e}; a leaf child is not built and has none."""
+    child = child_on(state, e, advance)
+    if child is None:
+        return set(), set()
+    return inner_candidates(child), outer_candidates(child)
 
 
 def test_pair_girth_ok_examples():
     # an outer e is priced by advance: the back edges at its new vertex
     k3 = complete_graph(3)
-    st = seed_state(k3, 4, 0)  # S={e01}; adding e12 makes e02 close a triangle
-    inner, outer = candidates_after(st, 2)
-    assert 1 not in inner and 1 not in outer  # cycle length 3 < 4
+    st = seed_state(k3, 4, 0)  # S={e01}; adding e02 makes e12 close a triangle
+    inner, outer = candidates_after(st, 1)
+    assert 2 not in inner and 2 not in outer  # cycle length 3 < 4
     st3 = seed_state(k3, 3, 0)
-    inner, outer = candidates_after(st3, 2)
-    assert 1 in inner  # 3 >= 3
+    inner, outer = candidates_after(st3, 1)
+    assert 2 in inner  # 3 >= 3
 
     c4 = cycle_graph(4)  # edge ids: (0,1)=0, (1,2)=1, (2,3)=2, (0,3)=3
     st = drive(c4, 4, [0, 1])  # S={e01,e12}; adding e23 turns e30 inner
@@ -102,38 +116,46 @@ def test_pair_girth_ok_examples():
 
 
 def test_pair_girth_ok_inner_choice():
-    # diamond: 4-cycle plus chord; with the cycle in the solution the chord is
-    # an inner candidate whose shortest closed cycle has length 3
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    # diamond: 4-cycle plus chord; with the path 0-1-2-3 in the solution the
+    # chord is an inner candidate whose shortest closed cycle has length 3
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     st = drive(g, 3, [0, 1, 2])
-    assert st.inner_cand == {3, 4}
-    assert pair_girth_ok(st, 3, 4)  # adding e03: chord cycle 0-2 stays length 3
+    assert inner_candidates(st) == {3, 4}
+    assert pair_girth_ok(st, 3, 4)  # adding e03: chord cycle 1-2-3 stays length 3
     st4 = drive(g, 4, [0, 1, 2])
-    assert st4.inner_cand == {3}  # the chord died as soon as 0..3 all joined
+    assert inner_candidates(st4) == {3}  # the chord died as soon as 0..3 all joined
 
 
 def test_update_dist_s_examples():
-    k3 = complete_graph(3)
-    st = drive(k3, 3, [0, 2])  # S = {e01, e12}
-    assert st.get_dist(0, 2) == 2
-    newdist = update_dist_s(st, 1)  # add the inner edge (0,2)
-    assert newdist[0][2] == 1
+    k4 = complete_graph(4)
+    st = drive(k4, 3, [0, 1])  # S = {e01, e02}
+    assert inner_candidates(st) == {3} and st.get_dist(1, 2) == 2
+    newdist = update_dist_s(st, 3)  # add the inner edge (1,2)
+    assert newdist[1][2] == 1
 
-    p3 = path_graph(3)
-    st = seed_state(p3, 4, 0)
+    p4 = path_graph(4)
+    st = seed_state(p4, 4, 0)
     newdist = update_dist_s(st, 1)  # outer edge (1,2)
     assert newdist[0][2] == 2 and newdist[2][2] == 0
 
 
 def test_update_dist_s_monotone_on_inner():
-    g = complete_graph(4)
-    st = drive(g, 3, [0, 1, 3])  # S = {(0,1), (0,2), (1,2)}
-    for e in sorted(st.inner_cand):
-        nd = update_dist_s(st, e)
+    steps = 0
+
+    def check(st):
+        nonlocal steps
+        if st.dist is None:
+            return
         verts = solution_vertices(st)
-        for x in verts:
-            for y in verts:
-                assert nd[x][y] <= st.get_dist(x, y)
+        for e in sorted(inner_candidates(st)):
+            nd = update_dist_s(st, e)
+            steps += 1
+            for x in verts:
+                for y in verts:
+                    assert nd[x][y] <= st.get_dist(x, y)
+
+    enumerate_edges_fast(complete_graph(5), 3, on_state=check)
+    assert steps
 
 
 def test_advance_candidate_examples():
@@ -151,7 +173,7 @@ def test_advance_candidate_examples():
 
     c4 = cycle_graph(4)
     st = drive(c4, 4, [0, 1, 2])
-    assert st.inner_cand == {3} and st.outer_cand == set()
+    assert inner_candidates(st) == {3} and outer_candidates(st) == set()
 
 
 def test_enumerate_counts():
@@ -218,33 +240,37 @@ def test_state_fidelity_on_random_corpus():
 def test_transition_invariants(g, k):
     checked = 0
 
-    def checking_advance(state, e, stats=None):
+    def checking_advance(state, i, solution, stats=None):
         nonlocal checked
-        nxt = advance(state, e, stats)
+        nxt = advance(state, i, solution, stats)
         if not state.solution:  # a root child starts from no vertices: the rules below do not apply
             return nxt
         checked += 1
-        was_inner = e in state.inner_cand
-        verts, next_verts = solution_vertices(state), solution_vertices(nxt)
+        # the child may draw on the candidates from position i on: e and the rest
+        left_inner = set(state.branch[i : state.n_inner])
+        left_outer = set(state.branch[max(i, state.n_inner) :])
+        verts = solution_vertices(state)
+        next_verts = {x for f in solution for x in g.endpoints(f)}
+        next_inner, next_outer = (inner_candidates(nxt), outer_candidates(nxt)) if nxt is not None else (set(), set())
         # inner pick: outer candidates untouched, inner set strictly shrinks
-        if was_inner:
-            assert nxt.outer_cand == state.outer_cand
-            assert nxt.inner_cand < state.inner_cand
+        if i < state.n_inner:
+            assert next_outer == left_outer
+            assert next_inner < left_inner
             assert next_verts == verts
         else:
             assert len(next_verts) == len(verts) + 1
         # inner candidates never outnumber the solution's vertices
-        assert len(nxt.inner_cand) <= len(next_verts)
+        assert len(next_inner) <= len(next_verts)
         # removed outer candidates all touch the new solution's vertex set
-        removed = state.outer_cand - nxt.outer_cand
+        removed = left_outer - next_outer
         assert len(removed) <= len(next_verts)
-        added = nxt.outer_cand - state.outer_cand
+        added = next_outer - left_outer
         if added:
             (new_vertex,) = next_verts - verts
             assert len(added) <= g.degree(new_vertex)
         return nxt
 
-    search(initial_state(g, k), branch_order, checking_advance, exclude_candidate, None)
+    search(initial_state(g, k), checking_advance, None)
     assert checked
 
 
@@ -283,14 +309,17 @@ def test_pair_checks_count_the_girth_tests_made():
     # K4, edge ids (0,1)=0, (0,2)=1, (0,3)=2, (1,2)=3, (1,3)=4, (2,3)=5
     k4 = complete_graph(4)
     stats = EdgeRunStats()
-    advance(drive(k4, 3, [0, 1, 2]), 3, stats)  # inner: pair_girth_ok on 4 and 5
+    star = drive(k4, 3, [0, 1, 2])  # the edge 3 came before 2, so only 4 and 5 are left
+    assert star.branch == [4, 5]
+    child_on(star, 4, advance, stats)  # inner: pair_girth_ok on 5
+    assert stats.pair_checks == 1
+    child_on(drive(k4, 3, [0]), 1, advance, stats)  # outer to vertex 2: the back edge 3
     assert stats.pair_checks == 2
-    advance(drive(k4, 3, [0]), 1, stats)  # outer to vertex 2: the back edge 3
-    assert stats.pair_checks == 3
-    root = initial_state(k4, 3)
-    two_edges = advance_any(advance_any(root, 0), 5)
-    advance_any(two_edges, 1, stats)  # joins {0, 1} and {2, 3}: the edges 2, 3 and 4 between them
-    assert stats.pair_checks == 6
+    # K4 numbered so that the edges 0 = (0,1) and 1 = (2,3) come first
+    g = Graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
+    two_edges = child_on(child_on(initial_state(g, 3), 0, advance_any), 1, advance_any)
+    child_on(two_edges, 2, advance_any, stats)  # joins {0, 1} and {2, 3}: the edges 3, 4 and 5 between them
+    assert stats.pair_checks == 5
 
 
 def test_rejects_weighted_and_bad_k():
@@ -302,23 +331,29 @@ def test_rejects_weighted_and_bad_k():
 
 
 def test_on_state_sees_the_empty_root_first():
-    # the root is a state of its own: no vertices, every edge an outer candidate
+    # the root is a state of its own: no vertices, every edge an outer
+    # candidate; on_state then sees the built states only, each of which has
+    # a candidate, while every solution is emitted
     g = petersen_graph()
     seen = []
+    emitted = Collector()
 
     def look(state):
-        seen.append((sorted(state.solution), set(state.inner_cand), set(state.outer_cand)))
+        seen.append((sorted(state.solution), set(inner_candidates(state)), set(outer_candidates(state))))
 
-    enumerate_edges_fast(g, 5, on_state=look, limit=30)
+    assert enumerate_edges_fast(g, 5, emitted, on_state=look, limit=30) == 30
     assert seen[0] == ([], set(), set(range(g.m)))
     assert [solution for solution, _, _ in seen[1:4]] == [[0], [0, 1], [0, 1, 2]]
-    assert all(solution for solution, _, _ in seen[1:])
+    assert all(solution and (inner or outer) for solution, inner, outer in seen[1:])
+    built = [frozenset(solution) for solution, _, _ in seen]
+    assert len(built) < len(emitted.solutions)
+    assert set(built) < set(emitted.solutions)
 
 
 def test_advance_leaves_the_parent_untouched():
     for g, k in [(complete_graph(5), 4), (complete_graph(5), 3), (cycle_graph(5), 3)]:
         enumerate_edges_fast(
-            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance, exclude_candidate, branch_order)
+            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance)
         )
 
 
@@ -329,7 +364,9 @@ def test_inner_step_copies_exactly_the_rows_that_change():
 
     def check(st):
         nonlocal steps, copied_total, rows_total
-        for e in st.inner_cand:
+        if st.dist is None:  # its one child is a leaf and is built without a table step
+            return
+        for e in inner_candidates(st):
             new = update_dist_s(st, e)
             copied = {x for x in new if new[x] is not st.dist[x]}
             changed = {x for x in st.dist if new[x] != st.dist[x]}
@@ -342,29 +379,45 @@ def test_inner_step_copies_exactly_the_rows_that_change():
     assert steps > 0 and copied_total < rows_total
 
 
-def test_only_states_with_a_candidate_build_a_table(monkeypatch):
-    # a leaf's table is never read during the run, so building it is skipped
-    builds = branching = 0
-    real_update, real_advance = edges_fast.update_dist_s, edges_fast.advance
+def count_table_steps(monkeypatch, name, g, k, connectivity):
+    """(update_dist_s calls, built states with a table below the root, built states below the root, solutions)."""
+    builds = tabled = built = 0
+    real_update, real_advance = edges_fast.update_dist_s, getattr(edges_fast, name)
 
     def counting_update(state, e):
         nonlocal builds
         builds += 1
         return real_update(state, e)
 
-    def counting_advance(state, e, stats=None):
-        nonlocal branching
-        child = real_advance(state, e, stats)
-        if child.inner_cand or child.outer_cand:
-            branching += 1
+    def counting_advance(state, i, solution, stats=None):
+        nonlocal tabled, built
+        child = real_advance(state, i, solution, stats)
+        if child is not None:
+            built += 1
+            tabled += child.dist is not None
         return child
 
     monkeypatch.setattr(edges_fast, "update_dist_s", counting_update)
-    monkeypatch.setattr(edges_fast, "advance", counting_advance)
-    stats = EdgeRunStats()
-    enumerate_edges_fast(complete_graph(6), 4, stats=stats)
-    assert builds == branching
-    assert builds < stats.iterations
+    monkeypatch.setattr(edges_fast, name, counting_advance)
+    count = enumerate_edges_fast(g, k, connectivity=connectivity)
+    monkeypatch.undo()
+    return builds, tabled, built, count
+
+
+def test_only_states_with_a_candidate_build_a_table(monkeypatch):
+    # a leaf is not built, and a state whose one child is a leaf builds no
+    # table, since nothing reads it: every table step makes a built state's table
+    builds, tabled, built, count = count_table_steps(monkeypatch, "advance", complete_graph(6), 4, "connected")
+    assert builds == tabled < built < count - 1
+
+
+def test_table_steps_on_k7_at_k4(monkeypatch):
+    # K7 at k=4 builds 59,404 tables when only leaves skip theirs; 30,487 of
+    # those belong to states whose one child is a leaf
+    builds, tabled, built, count = count_table_steps(monkeypatch, "advance", complete_graph(7), 4, "connected")
+    assert count == 123_379
+    assert builds == tabled == 28_917
+    assert built == 59_404
 
 
 def test_every_non_inner_step_writes_only_the_joined_rows():
@@ -380,7 +433,9 @@ def test_every_non_inner_step_writes_only_the_joined_rows():
 
         def check(st):
             nonlocal steps
-            for e in st.cand:
+            if st.dist is None:  # its one child is a leaf and is built without a table step
+                return
+            for e in st.branch:
                 u, v = g.endpoints(e)
                 if v in st.dist.get(u, ()):
                     continue
@@ -398,19 +453,37 @@ def test_every_non_inner_step_writes_only_the_joined_rows():
         assert steps
 
 
+def unbuilt_children(g, k, connectivity, limit=None):
+    """Emitted children of built states that advance built no state for, each checked to have no naive candidate.
+
+    A child on branch[i] inherits its parent's marks and the elements before
+    i. Returns the number of such leaves.
+    """
+    marks_of = MarkRecorder()
+    built = []
+    emitted = Collector()
+    enumerate_edges_fast(
+        g, k, emitted, connectivity=connectivity, limit=limit, on_state=lambda st: built.append((st, marks_of(st)))
+    )
+    solutions = {frozenset(st.solution) for st, _ in built}
+    reached = set(emitted.solutions)
+    cfg = EnumConfig(k=k, mode="edge", connectivity=connectivity)
+    leaves = 0
+    for st, marks in built:
+        for i, x in enumerate(st.branch):
+            child = st.solution | {x}
+            if child in reached and child not in solutions:
+                leaves += 1
+                state = BaselineState(set(child), set(marks) | set(st.branch[:i]))
+                assert not candidate_set_naive(g, state, cfg), f"S={sorted(child)} has candidates but was not built"
+    return leaves
+
+
 def test_every_leaf_holds_no_table():
-    # nothing reads a leaf's table: it never branches and is never offered to prune
+    # nothing reads a leaf's table: it never branches and is never offered to
+    # prune, so advance builds no state for it
     for g, k in [(complete_graph(6), 4), (petersen_graph(), 5), (cycle_graph(5), 3)]:
-        leaves = []
-
-        def collect(st):
-            if st.solution and not st.cand:
-                leaves.append(st)
-
-        enumerate_edges_fast(g, k, on_state=collect)
-        assert leaves
-        for st in leaves:
-            assert st.dist is None, f"S={sorted(st.solution)}"
+        assert unbuilt_children(g, k, "connected")
 
 
 # --- the non-connected variant ----------------------------------------------
@@ -431,16 +504,16 @@ def test_any_variant_join_writes_cross_distances():
     seen = {}
 
     def look(st):
-        # candidate sets shrink as siblings are branched on, so copy them now
-        seen[frozenset(st.solution)] = (st, st.dist, set(st.inner_cand), set(st.outer_cand))
+        seen[frozenset(st.solution)] = (st, st.dist, set(inner_candidates(st)), set(outer_candidates(st)))
 
     enumerate_edges_fast(g, 7, connectivity="any", on_state=look)
     parent, dist, inner, outer = seen[frozenset({0, 1, 2, 3})]
     assert dist[0] == {0: 0, 1: 1, 2: 2} and dist[5] == {3: 2, 4: 1, 5: 0}
     assert inner == set() and outer == {4, 5}
-    leaf, dist, inner, outer = seen[frozenset({0, 1, 2, 3, 4})]
-    assert inner == outer == set()  # (0, 5) would close a 6-cycle, shorter than 7
-    assert dist is None  # a leaf holds no table; the join's table is its parent's step
+    # (0, 5) would close a 6-cycle, shorter than 7: the join's child is a
+    # leaf, which is not built, and its table is its parent's step
+    assert child_on(parent, 4, advance_any) is None
+    assert frozenset({0, 1, 2, 3, 4}) not in seen
     dist = update_dist_s(parent, 4)
     assert dist[0][5] == 5 and dist[1][4] == 3 and dist[2] == {0: 2, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
     assert frozenset({0, 1, 2, 3, 4, 5}) not in seen
@@ -470,46 +543,15 @@ def test_any_variant_advance_leaves_the_parent_untouched():
             g,
             k,
             connectivity="any",
-            on_state=lambda st: check_advance_keeps_parent(st, advance_any, exclude_candidate, branch_order_any),
+            on_state=lambda st: check_advance_keeps_parent(st, advance_any),
         )
 
 
 def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):
-    builds = branching = 0
-    real_update, real_advance = edges_fast.update_dist_s, edges_fast.advance_any
-
-    def counting_update(state, e):
-        nonlocal builds
-        builds += 1
-        return real_update(state, e)
-
-    def counting_advance(state, e, stats=None):
-        nonlocal branching
-        child = real_advance(state, e, stats)
-        if child.inner_cand or child.outer_cand:
-            branching += 1
-        return child
-
-    monkeypatch.setattr(edges_fast, "update_dist_s", counting_update)
-    monkeypatch.setattr(edges_fast, "advance_any", counting_advance)
-    stats = EdgeRunStats()
-    enumerate_edges_fast(complete_graph(5), 4, connectivity="any", stats=stats)
-    assert builds == branching
-    assert builds < stats.iterations
+    builds, tabled, built, count = count_table_steps(monkeypatch, "advance_any", complete_graph(5), 4, "any")
+    assert builds == tabled < built < count - 1
 
 
 def test_any_variant_every_leaf_holds_no_table():
     for g, k in [(complete_graph(5), 4), (petersen_graph(), 7)]:
-        leaves = []
-        marks_of = MarkRecorder()
-
-        def collect(st):
-            marks = marks_of(st)
-            if st.solution and not st.cand:
-                leaves.append((st, marks))
-
-        enumerate_edges_fast(g, k, connectivity="any", on_state=collect, limit=20000)
-        assert leaves
-        for st, marks in leaves:
-            assert st.dist is None, f"S={sorted(st.solution)}"
-            check_edge_state(g, k, st, "any", marks)
+        assert unbuilt_children(g, k, "any", limit=20000)

@@ -155,8 +155,8 @@ def baseline_any_search(n, k):
         elif len(sol) == best:
             witnesses.append(sol)
 
-    def prune_any(state):
-        return len(state.solution) + len(state.cands) < best
+    def prune_any(state, left):
+        return len(state.solution) + left < best
 
     explored = enumerate_baseline(g, EnumConfig(k=k, mode="edge", connectivity="any"), sink, prune=prune_any)
     return best, explored, sorted(tuple(g.endpoints(e) for e in sorted(w)) for w in witnesses)
@@ -184,6 +184,8 @@ def test_non_connected_maxima_match_known_values(n):
 def fresh_pairs_by_scan(state, n, edges):
     """Unmarked pairs of vertices outside V(S), by scanning the root marks as the prune once did."""
     d = state.dist
+    if d is None:  # a state without a table: V(S) from its solution
+        d = {x for e in state.solution for x in edges[e][:2]}
     fresh = n - len(d)
     pairs = fresh * (fresh - 1) // 2
     for eid in range(state.first + 1):
@@ -211,15 +213,17 @@ def test_connected_prune_counts_fresh_pairs_as_the_root_mark_scan(n, k, monkeypa
             best = max(best, len(solution))
             return sink(solution, ordinal)
 
-        def checked_prune(state):
+        def checked_prune(state, left):
             nonlocal asked
             asked += 1
             d = state.dist
+            if d is None:
+                d = {x for e in state.solution for x in edges[e][:2]}
             fresh = n - len(d) - (min(d) if d else 0)
             scanned = fresh_pairs_by_scan(state, n, edges)
             assert fresh * (fresh - 1) // 2 == scanned
-            live = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
-            verdict = prune(state)
+            live = len(state.solution) + left
+            verdict = prune(state, left)
             assert verdict == (live + scanned < best)
             return verdict
 
@@ -313,13 +317,12 @@ def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, 
     assert stats.inner_picks + stats.outer_picks == built
 
 
-def prune_bound(state, n, edges, connected):
-    """The extremal prune's reachable size, from the live candidates and, if connected, the root-mark scan."""
-    live = len(state.solution) + len(state.inner_cand) + len(state.outer_cand)
+def prune_bound(solution, first, left, n, edges, connected):
+    """The extremal prune's reachable size, from the `left` live candidates and, if connected, the root-mark scan."""
+    live = len(solution) + left
     if not connected:
         return live
-    if state.dist is None:  # a leaf keeps no table; its key set would be V(S)
-        state = SimpleNamespace(dist=dict.fromkeys(x for e in state.solution for x in edges[e][:2]), first=state.first)
+    state = SimpleNamespace(dist=dict.fromkeys(x for e in solution for x in edges[e][:2]), first=first)
     return live + fresh_pairs_by_scan(state, n, edges)
 
 
@@ -335,12 +338,16 @@ def test_extremal_prune_bounds_are_monotone(n, k, connected, monkeypatch):
     step = getattr(edges_fast, name)
     children = 0
 
-    def checked_step(state, e, stats=None):
+    def checked_step(state, i, solution, stats=None):
         nonlocal children
         children += 1
-        parent_bound = prune_bound(state, n, g.edges, connected)
-        child = step(state, e, stats)
-        assert prune_bound(child, n, g.edges, connected) <= parent_bound
+        parent_bound = prune_bound(state.solution, state.first, len(state.branch) - i, n, g.edges, connected)
+        child = step(state, i, solution, stats)
+        if child is not None:
+            left, first = len(child.branch), child.first
+        else:  # a leaf, which is not built, has no candidate left
+            left, first = 0, state.first if state.solution else state.branch[i]
+        assert prune_bound(solution, first, left, n, g.edges, connected) <= parent_bound
         return child
 
     monkeypatch.setattr(edges_fast, name, checked_step)

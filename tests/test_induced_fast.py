@@ -21,11 +21,10 @@ from girthscope import (
     petersen_graph,
 )
 from girthscope.induced_fast import (
+    InducedEnumState,
     InducedRunStats,
     adopt_new_candidates,
     advance,
-    branch_order,
-    exclude_candidate,
     initial_state,
 )
 from girthscope.verify import random_corpus
@@ -36,6 +35,7 @@ from _state_checks import (
     MarkRecorder,
     check_advance_keeps_parent,
     check_induced_state,
+    child_on,
     filter_old_candidates,
     status,
 )
@@ -50,10 +50,10 @@ REGIME_FIXTURE = Graph(
 
 
 def state_at(g, k, vertices):
-    """Drive transitions along the leftmost branch reaching `vertices` (in order)."""
+    """Drive transitions reaching `vertices` (in order); each step excludes the candidates before it."""
     st = initial_state(g, k)
     for v in vertices:
-        st = advance(st, v)
+        st = child_on(st, v, advance)
     return st
 
 
@@ -97,7 +97,9 @@ def test_update_dist_never_lengthens():
     g = petersen_graph()
     st = state_at(g, 5, [0])
     for v in sorted(st.cand):
-        child = advance(st, v)
+        child = child_on(st, v, advance)
+        if child is None:
+            continue
         for x in child.solution | child.cand:
             for u in child.cand:
                 if x != u:
@@ -118,16 +120,17 @@ def test_statuses_and_done_exclusion():
     assert status(st, 0) == "in-solution"
     assert status(st, 1) == "candidate"
     assert status(st, 2) == "unreached"
-    exclude_candidate(st, 1)
-    assert status(st, 1, marks={1}) == "done-excluded"
-    assert st.cand == {3}
-    assert st.get_dist(3, 1) == INFINITE  # out of scope once excluded
-    assert advance(advance(st, 3), 2).cand == set()  # 1 is attached to S: marked, never adopted
+    child = child_on(st, 3, advance)  # 1 comes before 3, so the child excludes it
+    assert status(child, 1, marks={1}) == "done-excluded"
+    assert child.cand == {2}
+    assert child.get_dist(2, 1) == INFINITE  # out of scope once excluded
+    assert child_on(child, 2, advance) is None  # 1 is attached to S: marked, never adopted
 
     stg = state_at(c4, 5, [0, 1])  # adding 1 kills nothing; adding 2 girth-drops 3
-    child = advance(stg, 2)
-    assert status(child, 3) == "girth-excluded"
-    assert child.cand == set()
+    assert child_on(stg, 2, advance) is None  # a leaf is not built
+    leaf = InducedEnumState(c4, 5, frozenset({0, 1, 2}), [], 0, {})
+    assert status(leaf, 3) == "girth-excluded"
+    assert not leaf.cand
 
 
 def test_exclusions_are_absorbing_along_each_branch():
@@ -208,6 +211,8 @@ def test_candidate_filter_agrees_with_girth_check_per_pair():
     from girthscope import induced_subgraph
 
     def check(st):
+        if not st.solution:  # the root asks no filter: v's neighbours above v attach through v alone
+            return
         for v in st.cand:
             keep = filter_old_candidates(st, v)
             for u in st.cand - {v}:
@@ -233,6 +238,8 @@ def test_filter_decides_by_dist_plus_second_distance():
 
         def check(st):
             nonlocal pairs
+            if not st.solution:  # the root asks no filter
+                return
             for v in st.cand:
                 keep = filter_old_candidates(st, v)
                 for u in st.cand - {v}:
@@ -301,7 +308,7 @@ def test_dist_table_keeps_only_pairs_with_a_candidate_end():
             assert entries <= 2 * s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
 
         count = enumerate_induced_fast(g, 5, on_state=check)
-        assert seen == count  # one state per emitted solution (the root emits the empty one)
+        assert 0 < seen < count  # one state per emitted solution with a candidate; leaves are not built
 
 
 def test_dist_table_has_candidate_rows_only():
@@ -321,11 +328,11 @@ def test_dist_table_has_candidate_rows_only():
             s, c = len(st.solution), len(st.cand)
             assert entries <= s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
 
-        assert enumerate_induced_fast(g, 5, on_state=check) == seen
+        assert enumerate_induced_fast(g, 5, on_state=check) > seen > 0
 
 
 def test_each_step_writes_exactly_the_candidate_rows():
-    # a fresh state has no exclusions yet, so its rows are exactly its cand:
+    # no state is changed once built, so its rows are exactly its cand:
     # one per survivor and one per adopted vertex, and none for anything else
     rng = random.Random(12)
     n = 12
@@ -338,13 +345,13 @@ def test_each_step_writes_exactly_the_candidate_rows():
             seen += 1
             assert set(st.dist) == st.cand, f"S={sorted(st.solution)}"
 
-        assert enumerate_induced_fast(g, 5, on_state=check) == seen
+        assert enumerate_induced_fast(g, 5, on_state=check) > seen > 0
 
 
 def test_advance_leaves_the_parent_untouched():
     for g, k in [(petersen_graph(), 5), (REGIME_FIXTURE, 5), (complete_graph(5), 3), (cycle_graph(6), INFINITE)]:
         enumerate_induced_fast(
-            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance, exclude_candidate, branch_order)
+            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance)
         )
 
 

@@ -17,22 +17,28 @@ from girthscope import induced_fast
 from _state_checks import MarkRecorder
 
 
-def perfect_matching(m: int) -> Graph:
-    return Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+def disjoint_paths(count: int, length: int) -> Graph:
+    """`count` vertex-disjoint paths of `length` edges each; length 1 is a perfect matching."""
+    size = length + 1
+    return Graph(count * size, [(size * c + i, size * c + i + 1) for c in range(count) for i in range(length)])
 
 
 @pytest.mark.parametrize(
-    "engine, solutions_per_edge",
+    "engine, path_edges, solutions_per_edge",
     [
-        (enumerate_induced_fast, 3),  # empty, two vertices and the edge
-        (enumerate_edges_fast, 1),  # empty and the edge
+        # on each edge: two vertices and the edge
+        pytest.param(enumerate_induced_fast, 1, 3, id="enumerate_induced_fast-3"),
+        # on each path: three edges, two pairs and the whole path
+        pytest.param(enumerate_edges_fast, 3, 2, id="enumerate_edges_fast-2"),
     ],
 )
-def test_state_sets_do_not_grow_with_the_graph(engine, solutions_per_edge):
-    # every container a state below the root holds stays as small at m=4000
-    # as at m=500; only what it shares with the root by reference (the graph,
-    # the root marks) may grow, and so do the marks it inherits, which it
-    # holds as no set of its own
+def test_state_sets_do_not_grow_with_the_graph(engine, path_edges, solutions_per_edge):
+    # every container a state below the root holds stays as small with 4000
+    # paths as with 500; only what it shares with the root by reference (the
+    # graph, the root marks) may grow, and so do the marks it inherits, which
+    # it holds as no set of its own. Only a state with a candidate is built,
+    # so the edge engine, which builds none below the root on a matching,
+    # runs on paths of three edges
     largest, inherited = {}, {}
     for m in (500, 4000):
         root = []
@@ -49,15 +55,15 @@ def test_state_sets_do_not_grow_with_the_graph(engine, solutions_per_edge):
                 if value is not getattr(root[0], name) and hasattr(value, "__len__"):
                     sizes.append(len(value))
 
-        count = engine(perfect_matching(m), 5, on_state=look)
-        assert count == 1 + solutions_per_edge * m
+        count = engine(disjoint_paths(m, path_edges), 5, on_state=look)
+        assert count == 1 + solutions_per_edge * path_edges * m
         largest[m] = max(sizes)
     assert largest[500] == largest[4000]
     assert inherited[4000] > inherited[500]
 
 
-# work per solution over n on the smallest family member below (n = 8: 1.14),
-# rounded up; n = 12, 16, 20 measure 0.96, 0.85 and 0.77
+# work per solution over n on the smallest family member below (n = 8: 0.93),
+# rounded up; n = 12, 16, 20 measure 0.86, 0.78 and 0.72
 INDUCED_WORK_PER_SOLUTION_AND_VERTEX = 1.2
 
 
@@ -66,6 +72,7 @@ def test_induced_work_per_solution_is_linear_in_n(monkeypatch):
     # neighbours the adopt step scans, summed over every step of the run
     work = 0
     update_dist = induced_fast.update_dist
+    split_old_candidates = induced_fast._split_old_candidates
     adopt_new_candidates = induced_fast.adopt_new_candidates
 
     def counted_update_dist(state, v, survivors, adopted):
@@ -74,12 +81,18 @@ def test_induced_work_per_solution_is_linear_in_n(monkeypatch):
         work += sum(len(row) for row in table.values())
         return table
 
+    def counted_split(state, i):
+        nonlocal work
+        work += len(state.branch) - i - 1  # the candidates after v, which the filter scans
+        return split_old_candidates(state, i)
+
     def counted_adopt(state, v):
         nonlocal work
-        work += len(state.cand) + state.g.degree(v)
+        work += state.g.degree(v)
         return adopt_new_candidates(state, v)
 
     monkeypatch.setattr(induced_fast, "update_dist", counted_update_dist)
+    monkeypatch.setattr(induced_fast, "_split_old_candidates", counted_split)
     monkeypatch.setattr(induced_fast, "adopt_new_candidates", counted_adopt)
     ratios = {}
     for n in (8, 12, 16, 20):
