@@ -10,10 +10,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .edges_fast import EdgeRunStats, enumerate_edges_fast
+from .edges_fast import enumerate_edges_fast
 from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate, brute_force_total
 from .graph import Graph, INFINITE, Length
-from .induced_fast import InducedRunStats, enumerate_induced_fast
+from .induced_fast import enumerate_induced_fast
 
 BENCH_MAX_EXPONENT = 28  # bench_compare's brute force refuses more than 2**28 subsets
 
@@ -95,12 +95,8 @@ def bench_compare(
         last_emit = now
 
     t0 = time.perf_counter()
-    if mode == "edge":
-        stats = EdgeRunStats()
-        fast_count = enumerate_edges_fast(g, k, delay_probe, limit=limit, stats=stats)
-    else:
-        stats = InducedRunStats()
-        fast_count = enumerate_induced_fast(g, k, delay_probe, limit=limit, stats=stats)
+    engine = enumerate_edges_fast if mode == "edge" else enumerate_induced_fast
+    fast_count = engine(g, k, delay_probe, limit=limit)
     fast_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -122,7 +118,7 @@ def bench_compare(
         fast_count=fast_count,
         fast_seconds=fast_seconds,
         fast_max_delay=max_delay,
-        fast_max_depth=stats.max_depth,
+        fast_max_depth=1 + max(map(len, fast_solutions), default=0),  # the root has depth 1
         brute_count=len(brute),
         brute_seconds=brute_seconds,
         speedup=brute_seconds / fast_seconds if fast_seconds > 0 else float("inf"),

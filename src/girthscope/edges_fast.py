@@ -56,7 +56,7 @@ from collections.abc import Callable
 
 from .enum_core import CONNECTIVITIES, SolutionSink, search, validate_fast_input
 from .errors import ValidationError
-from .graph import Graph, INFINITE, Length
+from .graph import Graph, Length
 
 
 class EdgeRunStats:
@@ -112,13 +112,6 @@ class EdgeEnumState:
     def blocked(self) -> range:
         """Ids of the root marks this state inherited, a view the engine never reads; none at the root."""
         return range(self.first)
-
-    def get_dist(self, x: int, y: int) -> Length:
-        """dist[x][y], INFINITE across components; only a state whose child branches has a table."""
-        row = self.dist.get(x)
-        if row is None:
-            return INFINITE
-        return row.get(y, INFINITE)
 
 
 def initial_state(g: Graph, k: Length) -> EdgeEnumState:
@@ -382,8 +375,7 @@ def enumerate_edges_fast(
     connectivity: str = "connected",
     include_empty: bool = True,
     limit: int | None = None,
-    on_state: Callable[[EdgeEnumState], object] | None = None,
-    prune: Callable[[EdgeEnumState], bool] | None = None,
+    prune: Callable[[EdgeEnumState, int], bool] | None = None,
     stats: EdgeRunStats | None = None,
 ) -> int:
     """Enumerate all subgraphs (edge subsets) with girth >= k, each once.
@@ -398,8 +390,8 @@ def enumerate_edges_fast(
     emitted (used by the extremal search); `left` is the number of
     candidates the state has not branched on. It must be monotone (see
     `search`): the children a state has left once it cuts are emitted
-    unbuilt, with no `advance` or `on_state`. `on_state` sees only the built
-    states: the root and every state with a candidate, never a leaf.
+    unbuilt, with no `advance` call. Only the root and the states with a
+    candidate are built; a leaf is emitted without a state.
     `stats.iterations` counts every state emitted, the root included;
     `inner_picks`, `outer_picks` and `pair_checks` count the children
     advance is asked for, leaves included. Returns the number of solutions
@@ -415,6 +407,5 @@ def enumerate_edges_fast(
         include_empty=include_empty,
         limit=limit,
         prune=prune,
-        on_state=on_state,
         stats=stats,
     )

@@ -167,7 +167,6 @@ def search(
     include_empty: bool = True,
     limit: int | None = None,
     prune: Callable[[object, int], bool] | None = None,
-    on_state: Callable[[object], object] | None = None,
     stats=None,
 ) -> int:
     """Depth-first binary-partition search from the empty-solution state `root`.
@@ -178,23 +177,22 @@ def search(
     stats)` from the elements after i alone: the ones before i are excluded
     from its subtree by their position, so no state is changed once built.
     `advance` returns None for a child with no candidate; search then
-    emits the child's solution without any state. The root is passed to
-    `on_state`, and the empty solution is emitted first when
-    `include_empty` is set; each built child is passed to `on_state`, then
-    its solution is emitted.
+    emits the child's solution without any state. The empty solution is
+    emitted first when `include_empty` is set; each child's solution is
+    emitted right after `advance` returns. To observe a run, a caller wraps
+    `advance`: the built states are the root it passes and every child
+    `advance` returns.
 
     `prune(state, left)` is asked about a state when it is built, with
     `left` = len(state.branch); returning True skips its subtree but keeps
     its solution. It is asked again before each later child i, with `left` =
     len(state.branch) - i, the candidates the state has left. Once it says
     True there, the state's remaining children are emitted as
-    `state.solution | {x}`, in order, without an `advance`, `prune` or
-    `on_state` call. This is sound for a monotone prune, one that, when it
-    cuts a state, would also cut every child built from the state's
-    remaining elements; such a child's own subtree would be skipped, so its
-    solution is all it emits. `on_state` sees only the states that are
-    built, the empty root included; in the edge engine that root is a state
-    of its own, with every edge an outer candidate.
+    `state.solution | {x}`, in order, without an `advance` or `prune`
+    call. This is sound for a monotone prune, one that, when it cuts a
+    state, would also cut every child built from the state's remaining
+    elements; such a child's own subtree would be skipped, so its solution
+    is all it emits.
 
     `stats`, when given, gets `iterations` (states emitted, built or not,
     with the root) and `max_depth` (the root has depth 1); the engines'
@@ -207,8 +205,6 @@ def search(
     if stats is not None:
         stats.iterations += 1
         stats.max_depth = max(stats.max_depth, 1)
-    if on_state is not None:
-        on_state(root)
     if include_empty and not emit(frozenset()):
         return emitter.count
     # each frame is (state, iterator over the positions and elements it has still to branch on)
@@ -245,8 +241,6 @@ def search(
                 if not emit(solution):
                     return emitter.count
                 continue
-            if on_state is not None:
-                on_state(child)
             if not emit(solution):
                 return emitter.count
             if prune is None or not prune(child, len(child.branch)):

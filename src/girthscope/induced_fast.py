@@ -48,8 +48,6 @@ to S, so only a root mark can exclude it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from .enum_core import SolutionSink, search, validate_fast_input
 from .graph import Graph, INFINITE, Length
 
@@ -78,10 +76,8 @@ class InducedEnumState:
     dist is a dict of dicts holding finite entries only, never changed once
     built. It has one row per candidate, with solution and candidate columns,
     so a step writes |cand| * (|S| + |cand|) entries, and its key set is the
-    candidate set. get_dist answers in scope, (S | cand) x cand, and
-    get_second on cand x cand; both report INFINITE elsewhere. No
-    second-distance table is stored: get_second and the `second` property
-    derive it from the distance rows, by the first-hop rule the filter uses.
+    candidate set. No second-distance table is stored: the filter derives
+    second distances from the distance rows by the first-hop rule.
     """
 
     __slots__ = ("g", "k", "solution", "branch", "first", "dist")
@@ -98,36 +94,6 @@ class InducedEnumState:
     def cand(self):
         """The candidate set, as a view of dist's keys."""
         return self.dist.keys()
-
-    @property
-    def second(self) -> dict[int, dict[int, Length]]:
-        """Finite second distances over cand x cand, as a fresh table (the engine never builds it).
-
-        At the root no candidate has a first hop besides its partner, so every
-        row is empty.
-        """
-        if not self.solution:
-            return {u: {} for u in self.cand}
-        table: dict[int, dict[int, Length]] = {}
-        for u in self.cand:
-            row = table[u] = {}
-            for w in self.cand:
-                if w != u and (s := self.get_second(u, w)) != INFINITE:
-                    row[w] = s
-        return table
-
-    def get_dist(self, x: int, y: int) -> Length:
-        cand = self.dist
-        if x not in cand:
-            x, y = y, x  # a solution-candidate pair lives in the candidate's row
-        if x not in cand or (y not in cand and y not in self.solution):
-            return INFINITE
-        return self.dist[x].get(y, INFINITE)
-
-    def get_second(self, u: int, w: int) -> Length:
-        if u == w or u not in self.dist or w not in self.dist:
-            return INFINITE
-        return _second_distance_via_row(self.g, self.solution, u, w, self.dist[w])
 
 
 def initial_state(g: Graph, k: Length) -> InducedEnumState:
@@ -306,7 +272,6 @@ def enumerate_induced_fast(
     *,
     include_empty: bool = True,
     limit: int | None = None,
-    on_state: Callable[[InducedEnumState], object] | None = None,
     stats: InducedRunStats | None = None,
 ) -> int:
     """Enumerate all connected induced subgraphs with girth >= k, each exactly once.
@@ -315,8 +280,8 @@ def enumerate_induced_fast(
     candidate sets are maintained incrementally. Each recursion level owns its
     candidate list and distance table, so backtracking needs no undo; the
     root's exclusion marks are the ids below the vertex it branched on, which
-    each state keeps as one integer. `on_state` sees only the built states:
-    the root and every state with a candidate, never a leaf. Returns the
+    each state keeps as one integer. Only the root and the states with a
+    candidate are built; a leaf is emitted without a state. Returns the
     number of solutions emitted.
     """
     validate_fast_input(g, k)
@@ -326,6 +291,5 @@ def enumerate_induced_fast(
         sink,
         include_empty=include_empty,
         limit=limit,
-        on_state=on_state,
         stats=stats,
     )

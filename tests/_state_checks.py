@@ -1,12 +1,13 @@
 """From-scratch state validation shared by the fast-engine tests and acceptance.
 
-Each checker compares one live enumerator state against the reference
-oracles: distance tables entry-wise, candidate sets against the naive
-classification. The views of a state that only tests read (vertex status,
-the induced filter's survivors, an edge state's inner and outer
-candidates, the edge selection rule, the solution's vertices, attachment,
-the done marks a state inherited) live here too, so the engines carry none
-of them.
+observe runs an engine's transition through `search` and shows a test
+every state the run builds, with the done marks it inherited. Each checker
+compares one such state against the reference oracles: distance tables
+entry-wise, candidate sets against the naive classification. The views of
+a state that only tests read (its distance and second-distance lookups,
+vertex status, the induced filter's survivors, an edge state's inner and
+outer candidates, the edge selection rule, the solution's vertices,
+attachment) live here too, so the engines carry none of them.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import copy
 from collections import deque
 
-from girthscope import girth_unweighted, induced_subgraph
-from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive
-from girthscope.induced_fast import InducedEnumState, _split_old_candidates
+from girthscope import INFINITE, girth_unweighted, induced_subgraph
+from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive, search
+from girthscope.induced_fast import InducedEnumState, _second_distance_via_row, _split_old_candidates
 from _oracles import pair_distance, second_distance
 
 IN_SOLUTION = "in-solution"
@@ -26,41 +27,61 @@ DONE_EXCLUDED = "done-excluded"
 UNREACHED = "unreached"
 
 
-class MarkRecorder:
-    """Done marks each state inherited, rebuilt from the states `search` shows, in order.
+def observe(engine, g, k, look, sink=None, *, connectivity="connected", **options):
+    """Run `engine`'s transition through `search`, calling look(state, marks) on every state it builds.
 
-    `search` passes every built state to on_state in depth-first preorder,
-    each right after its parent. A child built on its parent's branch[i] is
-    excluded from the elements at the positions before i, so its marks are
-    its parent's marks plus those elements, and the empty root starts a run
-    with none. Only the solutions and each parent's branch list are read,
-    never a child's candidates. Call it on every state of the run, in
-    on_state order.
+    `engine` is the module induced_fast or edges_fast; connectivity="any"
+    runs edges_fast.advance_any. The root is shown first, before the empty
+    solution is emitted; then each child `advance` builds, right after it is
+    built and before its solution is emitted, in depth-first preorder. A
+    leaf, for which `advance` returns None, is not shown. `marks` are the
+    done marks the state inherited: none at the root, and for the child on
+    its parent's branch[i] the parent's marks plus branch[:i]. `options`
+    (include_empty, limit, prune, stats) go to `search`, whose count is
+    returned.
     """
+    step = engine.advance_any if connectivity == "any" else engine.advance
+    root = engine.initial_state(g, k)
+    path = [(root, frozenset())]  # per solution size: the state built last, and its marks
 
-    def __init__(self):
-        self._path = []  # per depth: (solution, inherited marks, branch list)
+    def advance(state, i, solution, stats=None):
+        child = step(state, i, solution, stats)
+        if child is not None:
+            parent, marks = path[len(state.solution)]
+            assert parent is state, f"S={sorted(solution)} was built from a state that is not the last one built"
+            marks = marks | frozenset(state.branch[:i])
+            del path[len(solution) :]
+            path.append((child, marks))
+            look(child, marks)
+        return child
 
-    def __call__(self, state) -> frozenset[int]:
-        solution = frozenset(state.solution)
-        if not solution:
-            self._path = [(solution, frozenset(), list(state.branch))]
-            return frozenset()
-        while self._path and len(self._path[-1][0]) >= len(solution):
-            self._path.pop()
-        assert self._path and len(self._path[-1][0]) + 1 == len(solution) and self._path[-1][0] < solution, (
-            f"S={sorted(solution)} was not shown right below its parent"
-        )
-        parent, parent_marks, branch = self._path[-1]
-        (x,) = solution - parent
-        assert x in branch, f"S={sorted(solution)} adds {x}, which its parent does not branch on"
-        marks = parent_marks | frozenset(branch[: branch.index(x)])
-        self._path.append((solution, marks, list(state.branch)))
-        return marks
+    look(root, frozenset())
+    return search(root, advance, sink, **options)
 
 
-# marks for the checkers' default: they run as on_state of one search at a time
-_recorded_marks = MarkRecorder()
+def induced_dist(state, x, y):
+    """dist[x][y] of an induced state in scope, (S | cand) x cand; INFINITE elsewhere."""
+    cand = state.dist
+    if x not in cand:
+        x, y = y, x  # a solution-candidate pair lives in the candidate's row
+    if x not in cand or (y not in cand and y not in state.solution):
+        return INFINITE
+    return state.dist[x].get(y, INFINITE)
+
+
+def induced_second(state, u, w):
+    """Second distance of two candidates of an induced state, by the filter's first-hop rule; INFINITE elsewhere."""
+    if u == w or u not in state.dist or w not in state.dist:
+        return INFINITE
+    return _second_distance_via_row(state.g, state.solution, u, w, state.dist[w])
+
+
+def edge_dist(state, x, y):
+    """dist[x][y] of an edge state, INFINITE across components; only a state whose child branches has a table."""
+    row = state.dist.get(x)
+    if row is None:
+        return INFINITE
+    return row.get(y, INFINITE)
 
 
 def status(state, v, marks=frozenset()):
@@ -142,31 +163,28 @@ def attachment(state):
     return out
 
 
-def check_induced_state(g, k, state, marks=None):
+def check_induced_state(g, k, state, marks):
     """Distance and second-distance tables equal their oracles; cand equals the naive candidates.
 
     The naive candidates leave out `marks`, the done marks the state
-    inherited. By default they are recorded by MarkRecorder, so the checker
-    must then see every state of the run, as on_state does.
+    inherited, as observe shows them.
     """
-    if marks is None:
-        marks = _recorded_marks(state)
     scope = state.solution | state.cand
     for x in scope:
         for y in state.cand:
             if x == y:
                 continue
             expected = pair_distance(g, state.solution, x, y)
-            assert state.get_dist(x, y) == expected, (
-                f"dist[{x}][{y}] = {state.get_dist(x, y)} != {expected} at S={sorted(state.solution)}"
+            assert induced_dist(state, x, y) == expected, (
+                f"dist[{x}][{y}] = {induced_dist(state, x, y)} != {expected} at S={sorted(state.solution)}"
             )
     for u in state.cand:
         for w in state.cand:
             if u == w:
                 continue
             expected = second_distance(g, state.solution, u, w)
-            assert state.get_second(u, w) == expected, (
-                f"second[{u}][{w}] = {state.get_second(u, w)} != {expected} at S={sorted(state.solution)}"
+            assert induced_second(state, u, w) == expected, (
+                f"second[{u}][{w}] = {induced_second(state, u, w)} != {expected} at S={sorted(state.solution)}"
             )
     naive = candidate_set_naive(
         g, BaselineState(set(state.solution), set(marks)), EnumConfig(k=k)
@@ -191,7 +209,7 @@ def solution_bfs_levels(g, edge_ids, source):
     return levels
 
 
-def check_edge_state(g, k, state, connectivity="connected", marks=None):
+def check_edge_state(g, k, state, marks, connectivity="connected"):
     """Distance rows equal a BFS within each component; candidates equal the naive ones.
 
     A state below the root has no table exactly when its only child is a
@@ -203,8 +221,6 @@ def check_edge_state(g, k, state, connectivity="connected", marks=None):
     ascending id in the other. The naive candidates leave out `marks`, as in
     check_induced_state.
     """
-    if marks is None:
-        marks = _recorded_marks(state)
     cfg = EnumConfig(k=k, mode="edge", connectivity=connectivity)
     verts = solution_vertices(state)
     bfs = {x: solution_bfs_levels(g, state.solution, x) for x in verts}

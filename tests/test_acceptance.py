@@ -30,7 +30,7 @@ from girthscope import (
     path_graph,
     petersen_graph,
 )
-from girthscope import edges_fast
+from girthscope import edges_fast, induced_fast
 from girthscope.cli import EXIT_OK, run_cli
 from girthscope.enum_core import search
 from girthscope.girth import girth_of_adjacency
@@ -40,7 +40,9 @@ from _state_checks import (
     check_edge_state,
     check_induced_state,
     filter_old_candidates,
+    induced_dist,
     inner_candidates,
+    observe,
     outer_candidates,
 )
 
@@ -124,12 +126,8 @@ def test_criterion_4_state_fidelity():
     ]
     for g, ks, limit in fixtures:
         for k in ks:
-            enumerate_induced_fast(
-                g, k, on_state=lambda st: check_induced_state(g, k, st), limit=limit
-            )
-            enumerate_edges_fast(
-                g, k, on_state=lambda st: check_edge_state(g, k, st), limit=limit
-            )
+            observe(induced_fast, g, k, lambda st, marks: check_induced_state(g, k, st, marks), limit=limit)
+            observe(edges_fast, g, k, lambda st, marks: check_edge_state(g, k, st, marks), limit=limit)
 
 
 @criterion(5, "per-transition invariants: inner-candidate bound, inner-step stability, O(1) girth test")
@@ -163,14 +161,14 @@ def test_criterion_5_transition_invariants():
 
     # the induced candidate filter agrees with a from-scratch girth check on every
     # (candidate, added-vertex) pair the filter ever decides
-    def check_filter(st):
+    def check_filter(st, marks):
         if not st.solution:  # the root asks no filter
             return
         for v in st.cand:
             keep = filter_old_candidates(st, v)
             for u in st.cand - {v}:
                 fresh = girth_unweighted(induced_subgraph(st.g, st.solution | {u, v})) >= st.k
-                attached = st.get_dist(u, v) != INFINITE
+                attached = induced_dist(st, u, v) != INFINITE
                 assert (u in keep) == (fresh and attached), (st.solution, u, v)
 
     for g, ks, limit in [
@@ -179,7 +177,7 @@ def test_criterion_5_transition_invariants():
         (petersen_graph(), (5,), 300),
     ]:
         for k in ks:
-            enumerate_induced_fast(g, k, on_state=check_filter, limit=limit)
+            observe(induced_fast, g, k, check_filter, limit=limit)
 
 
 @criterion(6, "extremal edge counts (4,4)->4 (5,4)->6 (5,5)->5 (6,4)->9")

@@ -11,9 +11,14 @@ from girthscope import (
     ValidationError,
     bench_compare,
     complete_graph,
+    enumerate_edges_fast,
+    enumerate_induced_fast,
     path_graph,
+    petersen_graph,
 )
 from girthscope.cli import EXIT_BUDGET, run_cli
+from girthscope.edges_fast import EdgeRunStats
+from girthscope.induced_fast import InducedRunStats
 
 
 def test_trivial_graph_counts_agree():
@@ -36,6 +41,20 @@ def test_edge_mode_report():
 def test_limit_truncates_both_sides_identically():
     report = bench_compare(complete_graph(5), 4, mode="edge", limit=50)
     assert report.ok and report.fast_count == report.brute_count == 50
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 40])
+def test_max_depth_is_the_one_the_engine_counts(limit):
+    # the report derives the depth from the emitted solutions; the root,
+    # with the empty solution, has depth 1, also when limit=0 emits nothing
+    runs = [
+        ("edge", complete_graph(5), 4, enumerate_edges_fast, EdgeRunStats),
+        ("induced", petersen_graph(), 5, enumerate_induced_fast, InducedRunStats),
+    ]
+    for mode, g, k, engine, stats_type in runs:
+        stats = stats_type()
+        engine(g, k, limit=limit, stats=stats)
+        assert bench_compare(g, k, mode=mode, limit=limit).fast_max_depth == stats.max_depth, (mode, limit)
 
 
 def test_mode_validation():

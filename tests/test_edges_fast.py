@@ -33,11 +33,12 @@ from girthscope.edges_fast import (
 from girthscope.enum_core import BaselineState, candidate_set_naive, search
 from girthscope.verify import random_corpus
 from _state_checks import (
-    MarkRecorder,
     check_advance_keeps_parent,
     check_edge_state,
     child_on,
+    edge_dist,
     inner_candidates,
+    observe,
     outer_candidates,
     select_edge,
     solution_bfs_levels,
@@ -63,7 +64,7 @@ def test_seed_state_bootstrap():
     st = seed_state(k3, 4, 0)
     assert st.solution == {0} and solution_vertices(st) == {0, 1}
     assert inner_candidates(st) == set() and outer_candidates(st) == {1, 2}
-    assert st.get_dist(0, 1) == 1
+    assert edge_dist(st, 0, 1) == 1
     st2 = seed_state(k3, 4, 1)  # edge 0 is marked
     assert outer_candidates(st2) == {2}
 
@@ -80,14 +81,14 @@ def test_select_edge_rule():
     # before outer ones, each in ascending id
     states = 0
 
-    def check(st):
+    def check(st, marks):
         nonlocal states
         states += 1
         assert st.branch[0] == select_edge(st)
         assert st.branch == sorted(inner_candidates(st)) + sorted(outer_candidates(st))
 
     for g, k in [(complete_graph(5), 3), (complete_graph(5), 4), (petersen_graph(), 5)]:
-        enumerate_edges_fast(g, k, on_state=check, limit=5000)
+        observe(edges_fast, g, k, check, limit=5000)
     assert states
 
 
@@ -129,7 +130,7 @@ def test_pair_girth_ok_inner_choice():
 def test_update_dist_s_examples():
     k4 = complete_graph(4)
     st = drive(k4, 3, [0, 1])  # S = {e01, e02}
-    assert inner_candidates(st) == {3} and st.get_dist(1, 2) == 2
+    assert inner_candidates(st) == {3} and edge_dist(st, 1, 2) == 2
     newdist = update_dist_s(st, 3)  # add the inner edge (1,2)
     assert newdist[1][2] == 1
 
@@ -142,7 +143,7 @@ def test_update_dist_s_examples():
 def test_update_dist_s_monotone_on_inner():
     steps = 0
 
-    def check(st):
+    def check(st, marks):
         nonlocal steps
         if st.dist is None:
             return
@@ -152,9 +153,9 @@ def test_update_dist_s_monotone_on_inner():
             steps += 1
             for x in verts:
                 for y in verts:
-                    assert nd[x][y] <= st.get_dist(x, y)
+                    assert nd[x][y] <= edge_dist(st, x, y)
 
-    enumerate_edges_fast(complete_graph(5), 3, on_state=check)
+    observe(edges_fast, complete_graph(5), 3, check)
     assert steps
 
 
@@ -227,7 +228,7 @@ def test_state_fidelity_on_random_corpus():
         if g.m > 8:
             continue
         for k in (3, 4, 5, INFINITE):
-            enumerate_edges_fast(g, k, on_state=lambda st: check_edge_state(g, k, st))
+            observe(edges_fast, g, k, lambda st, marks: check_edge_state(g, k, st, marks))
 
 
 @pytest.mark.parametrize("g,k", [
@@ -330,18 +331,18 @@ def test_rejects_weighted_and_bad_k():
         enumerate_edges_fast(path_graph(2), 1)
 
 
-def test_on_state_sees_the_empty_root_first():
+def test_observer_sees_the_empty_root_first():
     # the root is a state of its own: no vertices, every edge an outer
-    # candidate; on_state then sees the built states only, each of which has
-    # a candidate, while every solution is emitted
+    # candidate; the observer then sees the built states only, each of which
+    # has a candidate, while every solution is emitted
     g = petersen_graph()
     seen = []
     emitted = Collector()
 
-    def look(state):
+    def look(state, marks):
         seen.append((sorted(state.solution), set(inner_candidates(state)), set(outer_candidates(state))))
 
-    assert enumerate_edges_fast(g, 5, emitted, on_state=look, limit=30) == 30
+    assert observe(edges_fast, g, 5, look, emitted, limit=30) == 30
     assert seen[0] == ([], set(), set(range(g.m)))
     assert [solution for solution, _, _ in seen[1:4]] == [[0], [0, 1], [0, 1, 2]]
     assert all(solution and (inner or outer) for solution, inner, outer in seen[1:])
@@ -352,9 +353,7 @@ def test_on_state_sees_the_empty_root_first():
 
 def test_advance_leaves_the_parent_untouched():
     for g, k in [(complete_graph(5), 4), (complete_graph(5), 3), (cycle_graph(5), 3)]:
-        enumerate_edges_fast(
-            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance)
-        )
+        observe(edges_fast, g, k, lambda st, marks: check_advance_keeps_parent(st, advance))
 
 
 def test_inner_step_copies_exactly_the_rows_that_change():
@@ -362,7 +361,7 @@ def test_inner_step_copies_exactly_the_rows_that_change():
     # row is shared with the parent by reference
     steps = copied_total = rows_total = 0
 
-    def check(st):
+    def check(st, marks):
         nonlocal steps, copied_total, rows_total
         if st.dist is None:  # its one child is a leaf and is built without a table step
             return
@@ -375,7 +374,7 @@ def test_inner_step_copies_exactly_the_rows_that_change():
             copied_total += len(copied)
             rows_total += len(new)
 
-    enumerate_edges_fast(complete_graph(6), 4, on_state=check)
+    observe(edges_fast, complete_graph(6), 4, check)
     assert steps > 0 and copied_total < rows_total
 
 
@@ -431,7 +430,7 @@ def test_every_non_inner_step_writes_only_the_joined_rows():
     ]:
         steps = 0
 
-        def check(st):
+        def check(st, marks):
             nonlocal steps
             if st.dist is None:  # its one child is a leaf and is built without a table step
                 return
@@ -449,7 +448,7 @@ def test_every_non_inner_step_writes_only_the_joined_rows():
                         assert new[x] is st.dist[x], (sorted(st.solution), e, x)
                 steps += 1
 
-        enumerate_edges_fast(g, k, connectivity=connectivity, on_state=check)
+        observe(edges_fast, g, k, check, connectivity=connectivity)
         assert steps
 
 
@@ -459,12 +458,9 @@ def unbuilt_children(g, k, connectivity, limit=None):
     A child on branch[i] inherits its parent's marks and the elements before
     i. Returns the number of such leaves.
     """
-    marks_of = MarkRecorder()
     built = []
     emitted = Collector()
-    enumerate_edges_fast(
-        g, k, emitted, connectivity=connectivity, limit=limit, on_state=lambda st: built.append((st, marks_of(st)))
-    )
+    observe(edges_fast, g, k, lambda st, marks: built.append((st, marks)), emitted, connectivity=connectivity, limit=limit)
     solutions = {frozenset(st.solution) for st, _ in built}
     reached = set(emitted.solutions)
     cfg = EnumConfig(k=k, mode="edge", connectivity=connectivity)
@@ -503,10 +499,10 @@ def test_any_variant_join_writes_cross_distances():
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (0, 5)])
     seen = {}
 
-    def look(st):
+    def look(st, marks):
         seen[frozenset(st.solution)] = (st, st.dist, set(inner_candidates(st)), set(outer_candidates(st)))
 
-    enumerate_edges_fast(g, 7, connectivity="any", on_state=look)
+    observe(edges_fast, g, 7, look, connectivity="any")
     parent, dist, inner, outer = seen[frozenset({0, 1, 2, 3})]
     assert dist[0] == {0: 0, 1: 1, 2: 2} and dist[5] == {3: 2, 4: 1, 5: 0}
     assert inner == set() and outer == {4, 5}
@@ -532,19 +528,14 @@ def test_any_variant_state_fidelity_on_dense_graphs():
     two_k4 = Graph(8, [(u + s, v + s) for u in range(4) for v in range(u + 1, 4) for s in (0, 4)])
     cases = [(complete_graph(5), 3), (complete_graph(5), 4), (complete_graph(5), 5), (petersen_graph(), 6)]
     for g, k in cases + [(two_k4, 3), (two_k4, 4)]:
-        enumerate_edges_fast(
-            g, k, connectivity="any", limit=3000, on_state=lambda st: check_edge_state(g, k, st, "any")
+        observe(
+            edges_fast, g, k, lambda st, marks: check_edge_state(g, k, st, marks, "any"), connectivity="any", limit=3000
         )
 
 
 def test_any_variant_advance_leaves_the_parent_untouched():
     for g, k in [(complete_graph(5), 4), (complete_graph(5), 3), (Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)]), 3)]:
-        enumerate_edges_fast(
-            g,
-            k,
-            connectivity="any",
-            on_state=lambda st: check_advance_keeps_parent(st, advance_any),
-        )
+        observe(edges_fast, g, k, lambda st, marks: check_advance_keeps_parent(st, advance_any), connectivity="any")
 
 
 def test_any_variant_only_states_with_a_candidate_build_a_table(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -20,10 +21,13 @@ from girthscope import (
     enumerate_edges_fast,
     enumerate_induced_fast,
     path_graph,
+    petersen_graph,
 )
+from girthscope import edges_fast, induced_fast
 from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive
 from girthscope.verify import random_corpus
 from _oracles import independent_solutions
+from _state_checks import observe
 
 
 def run_baseline(g, cfg):
@@ -248,3 +252,46 @@ def test_deterministic_emission_order():
     enumerate_baseline(cycle_graph(4), EnumConfig(k=4), a)
     enumerate_baseline(cycle_graph(4), EnumConfig(k=4), b)
     assert a.solutions == b.solutions
+
+
+# --- observing a run through its transition ----------------------------------
+
+# (engine, graph, k, connectivity, limit, pruned) -> (states shown, solutions
+# emitted, CRC of the shown states' sorted solutions followed by the stream).
+# The pruned run is extremal's (6, 4) search in the non-connected variant.
+OBSERVED_RUNS = {
+    "induced-petersen-5": ((induced_fast, petersen_graph(), 5, "connected", None, False), (329, 569, 191686708)),
+    "edge-k5-4": ((edges_fast, complete_graph(5), 4, "connected", None, False), (167, 343, 3048397124)),
+    "edge-any-k5-4-limit": ((edges_fast, complete_graph(5), 4, "any", 200, False), (93, 200, 2081641728)),
+    "edge-any-k6-4-pruned": ((edges_fast, complete_graph(6), 4, "any", None, True), (372, 1335, 148440824)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_RUNS))
+def test_observer_shows_the_root_then_each_built_child(name):
+    # the root first, then every state advance builds in depth-first
+    # preorder, and no leaf: a skipped, extra or reordered state changes the CRC
+    (engine, g, k, connectivity, limit, pruned), expected = OBSERVED_RUNS[name]
+    shown, stream = [], []
+    best_size = -1
+
+    def sink(solution, ordinal):
+        nonlocal best_size
+        stream.append(sorted(solution))
+        best_size = max(best_size, len(solution))
+
+    def prune(state, left):
+        return len(state.solution) + left < best_size
+
+    count = observe(
+        engine,
+        g,
+        k,
+        lambda state, marks: shown.append(sorted(state.solution)),
+        sink,
+        connectivity=connectivity,
+        limit=limit,
+        prune=prune if pruned else None,
+    )
+    assert count == len(stream)
+    assert (len(shown), len(stream), zlib.crc32(repr((shown, stream)).encode())) == expected

@@ -20,6 +20,7 @@ from girthscope import (
     path_graph,
     petersen_graph,
 )
+from girthscope import induced_fast
 from girthscope.induced_fast import (
     InducedEnumState,
     InducedRunStats,
@@ -32,11 +33,13 @@ from _oracles import second_distance
 from _state_checks import (
     DONE_EXCLUDED,
     GIRTH_EXCLUDED,
-    MarkRecorder,
     check_advance_keeps_parent,
     check_induced_state,
     child_on,
     filter_old_candidates,
+    induced_dist,
+    induced_second,
+    observe,
     status,
 )
 
@@ -60,20 +63,20 @@ def state_at(g, k, vertices):
 def test_initial_state():
     st = initial_state(cycle_graph(4), 5)
     assert st.cand == {0, 1, 2, 3} and not st.solution
-    assert st.get_dist(0, 1) == 1 and st.get_dist(0, 2) == INFINITE
-    assert st.get_second(0, 1) == INFINITE
+    assert induced_dist(st, 0, 1) == 1 and induced_dist(st, 0, 2) == INFINITE
+    assert induced_second(st, 0, 1) == INFINITE
 
 
 def test_filter_old_candidates_examples():
     c4 = cycle_graph(4)
     st = state_at(c4, 5, [0])
     assert st.cand == {1, 3}
-    assert st.get_dist(3, 1) == 2 and st.get_second(3, 1) == INFINITE
+    assert induced_dist(st, 3, 1) == 2 and induced_second(st, 3, 1) == INFINITE
     assert filter_old_candidates(st, 1) == {3}
 
     st5 = state_at(c4, 5, [0, 1])
     assert st5.cand == {2, 3}
-    assert st5.get_dist(3, 2) == 1 and st5.get_second(3, 2) == 3
+    assert induced_dist(st5, 3, 2) == 1 and induced_second(st5, 3, 2) == 3
     assert filter_old_candidates(st5, 2) == set()  # 1 + 3 < 5
 
     st4 = state_at(c4, 4, [0, 1])
@@ -88,9 +91,9 @@ def test_adopt_new_candidates_examples():
 
 def test_update_dist_examples():
     st = state_at(cycle_graph(4), 4, [0, 1])
-    assert st.get_dist(2, 3) == 1  # the edge {2,3} inside the pair graph
+    assert induced_dist(st, 2, 3) == 1  # the edge {2,3} inside the pair graph
     st = state_at(path_graph(3), 4, [0, 1])
-    assert st.get_dist(0, 2) == 2
+    assert induced_dist(st, 0, 2) == 2
 
 
 def test_update_dist_never_lengthens():
@@ -103,15 +106,15 @@ def test_update_dist_never_lengthens():
         for x in child.solution | child.cand:
             for u in child.cand:
                 if x != u:
-                    assert child.get_dist(x, u) <= st.get_dist(x, u)
+                    assert induced_dist(child, x, u) <= induced_dist(st, x, u)
 
 
 def test_update_second_examples():
     st = state_at(cycle_graph(4), 4, [0, 1])
-    assert st.get_second(2, 3) == 3  # first hops 1 (the edge) and 3 (via 1 and 0)
-    assert st.get_second(3, 2) == 3
+    assert induced_second(st, 2, 3) == 3  # first hops 1 (the edge) and 3 (via 1 and 0)
+    assert induced_second(st, 3, 2) == 3
     st5 = state_at(cycle_graph(4), 5, [0])
-    assert st5.get_second(1, 3) == INFINITE  # lone route, nothing after removing it
+    assert induced_second(st5, 1, 3) == INFINITE  # lone route, nothing after removing it
 
 
 def test_statuses_and_done_exclusion():
@@ -123,7 +126,7 @@ def test_statuses_and_done_exclusion():
     child = child_on(st, 3, advance)  # 1 comes before 3, so the child excludes it
     assert status(child, 1, marks={1}) == "done-excluded"
     assert child.cand == {2}
-    assert child.get_dist(2, 1) == INFINITE  # out of scope once excluded
+    assert induced_dist(child, 2, 1) == INFINITE  # out of scope once excluded
     assert child_on(child, 2, advance) is None  # 1 is attached to S: marked, never adopted
 
     stg = state_at(c4, 5, [0, 1])  # adding 1 kills nothing; adding 2 girth-drops 3
@@ -138,10 +141,8 @@ def test_exclusions_are_absorbing_along_each_branch():
     # excluded vertex never reappears as a candidate or solution member
     for g, k in [(complete_graph(4), 4), (petersen_graph(), 5), (cycle_graph(6), 4)]:
         shadow: list = []
-        marks_of = MarkRecorder()
 
-        def check(st):
-            done = marks_of(st)
+        def check(st, done):
             girth = {v for v in range(g.n) if status(st, v, done) == GIRTH_EXCLUDED}
             assert done == {v for v in range(g.n) if status(st, v, done) == DONE_EXCLUDED}
             depth = len(st.solution)
@@ -153,7 +154,7 @@ def test_exclusions_are_absorbing_along_each_branch():
             assert not (girth | done) & (st.cand | st.solution)
             shadow.append((frozenset(girth), done))
 
-        enumerate_induced_fast(g, k, on_state=check, limit=200)
+        observe(induced_fast, g, k, check, limit=200)
 
 
 def test_enumerate_counts():
@@ -202,7 +203,7 @@ def test_state_fidelity_on_random_corpus():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         for k in (3, 4, 5, INFINITE):
-            enumerate_induced_fast(g, k, on_state=lambda st: check_induced_state(g, k, st))
+            observe(induced_fast, g, k, lambda st, marks: check_induced_state(g, k, st, marks))
 
 
 def test_candidate_filter_agrees_with_girth_check_per_pair():
@@ -210,19 +211,19 @@ def test_candidate_filter_agrees_with_girth_check_per_pair():
     from girthscope.girth import girth_unweighted
     from girthscope import induced_subgraph
 
-    def check(st):
+    def check(st, marks):
         if not st.solution:  # the root asks no filter: v's neighbours above v attach through v alone
             return
         for v in st.cand:
             keep = filter_old_candidates(st, v)
             for u in st.cand - {v}:
                 ok = girth_unweighted(induced_subgraph(st.g, st.solution | {u, v})) >= st.k
-                attached = st.get_dist(u, v) != INFINITE
+                attached = induced_dist(st, u, v) != INFINITE
                 assert (u in keep) == (ok and attached)
 
     for g in [cycle_graph(5), complete_graph(4), cycle_graph(6)]:
         for k in (4, 5):
-            enumerate_induced_fast(g, k, on_state=check, limit=40)
+            observe(induced_fast, g, k, check, limit=40)
 
 
 def test_filter_decides_by_dist_plus_second_distance():
@@ -236,19 +237,19 @@ def test_filter_decides_by_dist_plus_second_distance():
     for g in (REGIME_FIXTURE, petersen_graph(), rand12):
         pairs = 0
 
-        def check(st):
+        def check(st, marks):
             nonlocal pairs
             if not st.solution:  # the root asks no filter
                 return
             for v in st.cand:
                 keep = filter_old_candidates(st, v)
                 for u in st.cand - {v}:
-                    d = st.get_dist(u, v)
+                    d = induced_dist(st, u, v)
                     expected = d != INFINITE and d + second_distance(g, st.solution, u, v) >= k
                     assert (u in keep) == expected, (sorted(st.solution), u, v)
                     pairs += 1
 
-        enumerate_induced_fast(g, k, on_state=check)
+        observe(induced_fast, g, k, check)
         assert pairs
     fast = Collector()
     enumerate_induced_fast(REGIME_FIXTURE, k, fast)
@@ -298,7 +299,7 @@ def test_dist_table_keeps_only_pairs_with_a_candidate_end():
     for g in (petersen_graph(), rand12):
         seen = 0
 
-        def check(st):
+        def check(st, marks):
             nonlocal seen
             seen += 1
             for x in st.solution:
@@ -307,7 +308,7 @@ def test_dist_table_keeps_only_pairs_with_a_candidate_end():
             s, c = len(st.solution), len(st.cand)
             assert entries <= 2 * s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
 
-        count = enumerate_induced_fast(g, 5, on_state=check)
+        count = observe(induced_fast, g, 5, check)
         assert 0 < seen < count  # one state per emitted solution with a candidate; leaves are not built
 
 
@@ -320,7 +321,7 @@ def test_dist_table_has_candidate_rows_only():
     for g in (petersen_graph(), rand12):
         seen = 0
 
-        def check(st):
+        def check(st, marks):
             nonlocal seen
             seen += 1
             assert not st.solution & set(st.dist), f"solution rows at S={sorted(st.solution)}"
@@ -328,7 +329,7 @@ def test_dist_table_has_candidate_rows_only():
             s, c = len(st.solution), len(st.cand)
             assert entries <= s * c + c * c, f"{entries} entries at S={sorted(st.solution)}"
 
-        assert enumerate_induced_fast(g, 5, on_state=check) > seen > 0
+        assert observe(induced_fast, g, 5, check) > seen > 0
 
 
 def test_each_step_writes_exactly_the_candidate_rows():
@@ -340,26 +341,22 @@ def test_each_step_writes_exactly_the_candidate_rows():
     for g in (petersen_graph(), rand12):
         seen = 0
 
-        def check(st):
+        def check(st, marks):
             nonlocal seen
             seen += 1
             assert set(st.dist) == st.cand, f"S={sorted(st.solution)}"
 
-        assert enumerate_induced_fast(g, 5, on_state=check) > seen > 0
+        assert observe(induced_fast, g, 5, check) > seen > 0
 
 
 def test_advance_leaves_the_parent_untouched():
     for g, k in [(petersen_graph(), 5), (REGIME_FIXTURE, 5), (complete_graph(5), 3), (cycle_graph(6), INFINITE)]:
-        enumerate_induced_fast(
-            g, k, on_state=lambda st: check_advance_keeps_parent(st, advance)
-        )
+        observe(induced_fast, g, k, lambda st, marks: check_advance_keeps_parent(st, advance))
 
 
 def test_root_child_is_built_by_the_adoption_step(monkeypatch):
     # at the root v's unmarked neighbours attach through v alone: they reach
     # update_dist as adopted vertices, and no adoption scan runs there
-    from girthscope import induced_fast
-
     update_dist = induced_fast.update_dist
     adopt = induced_fast.adopt_new_candidates
     root_tables = 0

@@ -12,9 +12,8 @@ import random
 
 import pytest
 
-from girthscope import Graph, enumerate_edges_fast, enumerate_induced_fast
-from girthscope import induced_fast
-from _state_checks import MarkRecorder
+from girthscope import Graph, edges_fast, enumerate_induced_fast, induced_fast
+from _state_checks import observe
 
 
 def disjoint_paths(count: int, length: int) -> Graph:
@@ -27,9 +26,9 @@ def disjoint_paths(count: int, length: int) -> Graph:
     "engine, path_edges, solutions_per_edge",
     [
         # on each edge: two vertices and the edge
-        pytest.param(enumerate_induced_fast, 1, 3, id="enumerate_induced_fast-3"),
+        pytest.param(induced_fast, 1, 3, id="enumerate_induced_fast-3"),
         # on each path: three edges, two pairs and the whole path
-        pytest.param(enumerate_edges_fast, 3, 2, id="enumerate_edges_fast-2"),
+        pytest.param(edges_fast, 3, 2, id="enumerate_edges_fast-2"),
     ],
 )
 def test_state_sets_do_not_grow_with_the_graph(engine, path_edges, solutions_per_edge):
@@ -43,10 +42,9 @@ def test_state_sets_do_not_grow_with_the_graph(engine, path_edges, solutions_per
     for m in (500, 4000):
         root = []
         sizes = []
-        marks_of = MarkRecorder()
 
-        def look(st):
-            inherited[m] = max(inherited.get(m, 0), len(marks_of(st)))
+        def look(st, marks):
+            inherited[m] = max(inherited.get(m, 0), len(marks))
             if not st.solution:
                 root.append(st)
                 return
@@ -55,7 +53,7 @@ def test_state_sets_do_not_grow_with_the_graph(engine, path_edges, solutions_per
                 if value is not getattr(root[0], name) and hasattr(value, "__len__"):
                     sizes.append(len(value))
 
-        count = engine(disjoint_paths(m, path_edges), 5, on_state=look)
+        count = observe(engine, disjoint_paths(m, path_edges), 5, look)
         assert count == 1 + solutions_per_edge * path_edges * m
         largest[m] = max(sizes)
     assert largest[500] == largest[4000]
