@@ -85,7 +85,7 @@ class Collector:
 
 
 class _Emitter:
-    __slots__ = ("sink", "limit", "count", "stopped")
+    __slots__ = ("sink", "limit", "count")
 
     def __init__(self, sink: SolutionSink | None, limit: int | None):
         if limit is not None and limit < 0:
@@ -93,19 +93,13 @@ class _Emitter:
         self.sink = sink
         self.limit = limit
         self.count = 0
-        self.stopped = False
 
     def emit(self, solution: frozenset[int]) -> bool:
         if self.limit is not None and self.count >= self.limit:
-            self.stopped = True
             return False
-        keep_going = True
-        if self.sink is not None:
-            keep_going = self.sink(solution, self.count) is not False
+        keep_going = self.sink is None or self.sink(solution, self.count) is not False
         self.count += 1
-        if not keep_going or (self.limit is not None and self.count >= self.limit):
-            self.stopped = True
-        return not self.stopped
+        return keep_going and (self.limit is None or self.count < self.limit)
 
 
 # --- from-scratch feasibility checks ---------------------------------------

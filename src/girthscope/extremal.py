@@ -7,8 +7,6 @@ connected_only=False it runs the same engine in the non-connected variant.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .edges_fast import EdgeEnumState, enumerate_edges_fast
 # perfbench/harness.py times the searches by replacing the engine names of
 # this module, enumerate_baseline included, though no search here runs it
@@ -16,6 +14,7 @@ from .enum_core import enumerate_baseline, validate_threshold  # noqa: F401
 from .errors import BudgetExceededError, ValidationError
 from .graph import Graph, INFINITE, Length, complete_graph
 
+Witness = tuple[tuple[int, int], ...]  # a graph's edges as sorted (u, v) pairs, u < v
 EXTREMAL_MAX_VERTICES = 1_000  # K_n grows as n^2: building K_1000 peaks at about 280 MB RSS on CPython 3.11
 
 
@@ -27,7 +26,7 @@ class ExtremalResult:
         n: int,
         k: Length,
         max_edges: int,
-        witnesses: list[tuple[tuple[int, int], ...]] | None = None,
+        witnesses: list[Witness] | None = None,
         explored: int = 0,
         complete: bool = True,
         connected_only: bool = True,
@@ -62,8 +61,6 @@ def densest_girth_graphs(
         raise ValidationError("need at least one vertex")
     if n > EXTREMAL_MAX_VERTICES:
         raise BudgetExceededError(f"the search over K_{n} exceeds the {EXTREMAL_MAX_VERTICES}-vertex budget")
-    if reduce_isomorphic and n > 8:
-        raise ValidationError("isomorphism reduction is only supported for n <= 8")
     validate_threshold(k)
     g = complete_graph(n)
     best_size = -1
@@ -128,39 +125,49 @@ def densest_girth_graphs(
     )
 
 
-def reduce_up_to_isomorphism(
-    witnesses: list[tuple[tuple[int, int], ...]], n: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """Keep one representative per isomorphism class (brute force; callers keep n <= 8).
+def canonical_form(edges, n: int) -> Witness:
+    """Edge tuple that two graphs on vertices 0..n-1 share iff they are isomorphic.
 
-    Witnesses are bucketed by degree sequence first; within a bucket, all n!
-    vertex permutations decide isomorphism.
+    Individualization and refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014): the least tuple of edges relabelled by a leaf's
+    discrete colouring. Twins, x and y with N(x) - {y} = N(y) - {x}, are
+    individualized once per cell: swapping them is an automorphism that fixes
+    the colouring, so their subtrees give the same tuples (else K_n: n! leaves).
     """
+    g = Graph(n, edges)
+    adj = g._neighbor_sets
+    leaves = []
+    stack = [[0] * n]
+    while stack:
+        colour = stack.pop()
+        cells = len(set(colour))
+        while True:
+            # refine: a vertex's new colour ranks its colour with its neighbours' sorted colours
+            sig = [(colour[v], tuple(sorted(colour[y] for y in adj[v]))) for v in range(n)]
+            rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+            colour = [rank[s] for s in sig]
+            if len(rank) == cells:
+                break
+            cells = len(rank)
+        if cells == n:
+            leaves.append(tuple(sorted((min(colour[u], colour[v]), max(colour[u], colour[v])) for u, v, _ in g.edges)))
+            continue
+        # individualize each v of the smallest shared colour c: v gets 2c, its cellmates 2c + 1, any other c' 2c'
+        c = min(x for x in colour if colour.count(x) > 1)
+        chosen: list[int] = []
+        for v in range(n):
+            if colour[v] == c and not any(adj[v] - {u} == adj[u] - {v} for u in chosen):
+                chosen.append(v)
+                stack.append([2 * c if y == v else 2 * x + (x == c) for y, x in enumerate(colour)])
+    return min(leaves)
 
-    def degree_sequence(edges):
-        deg = [0] * n
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(sorted(deg))
 
-    def isomorphic(e1, e2):
-        s2 = set(e2)
-        for perm in permutations(range(n)):
-            mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in e1}
-            if mapped == s2:
-                return True
-        return False
-
-    kept: list[tuple[tuple[int, int], ...]] = []
-    buckets: dict[tuple, list[tuple[tuple[int, int], ...]]] = {}
+def reduce_up_to_isomorphism(witnesses: list[Witness], n: int) -> list[Witness]:
+    """Keep the first witness of each isomorphism class, in input order."""
+    kept = {}
     for w in witnesses:
-        sig = degree_sequence(w)
-        group = buckets.setdefault(sig, [])
-        if not any(isomorphic(w, seen) for seen in group):
-            group.append(w)
-            kept.append(w)
-    return kept
+        kept.setdefault(canonical_form(w, n), w)
+    return list(kept.values())
 
 
 def format_extremal_report(result: ExtremalResult) -> str:

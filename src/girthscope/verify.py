@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from itertools import combinations
 
 from .enum_core import Collector, EnumConfig, brute_force_enumerate, enumerate_baseline
 from .edges_fast import enumerate_edges_fast
@@ -23,12 +22,12 @@ def all_connected_graphs(max_n: int) -> list[Graph]:
     """Every connected graph with 1..max_n vertices, one per isomorphism class.
 
     Generated by filtering all labeled graphs, keeping the first of each
-    class in mask order (reduce_up_to_isomorphism). Intended for small max_n
-    (31 graphs at max_n=5).
+    class in mask order (reduce_up_to_isomorphism). Intended for small max_n:
+    31 graphs at max_n=5; 143 at max_n=6, in about 3 s.
     """
     out: list[Graph] = []
     for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         labeled = []
         for mask in range(1 << len(pairs)):
             edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)

@@ -10,11 +10,15 @@ candidate filter, which derives second distances from the chosen vertex's
 distance row instead of storing them (check_induced_state,
 test_filter_decides_by_dist_plus_second_distance). test_girth checks both
 against fw_pair_distance and path_second_distance.
+
+brute_reduce_up_to_isomorphism decides isomorphism by trying all n! vertex
+permutations, the oracle for extremal.canonical_form's reduction.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import permutations
 
 from girthscope import Graph, INFINITE, Length
 from girthscope.graph import VertexSet
@@ -227,3 +231,38 @@ def independent_solutions(g: Graph, k, mode: str, connectivity: str) -> set[froz
         if brute_girth(sub) >= k:
             out.add(members)
     return out
+
+
+def brute_reduce_up_to_isomorphism(
+    witnesses: list[tuple[tuple[int, int], ...]], n: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """Keep one representative per isomorphism class (brute force; keep n <= 7).
+
+    Witnesses are bucketed by degree sequence first; within a bucket, all n!
+    vertex permutations decide isomorphism.
+    """
+
+    def degree_sequence(edges):
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(sorted(deg))
+
+    def isomorphic(e1, e2):
+        s2 = set(e2)
+        for perm in permutations(range(n)):
+            mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in e1}
+            if mapped == s2:
+                return True
+        return False
+
+    kept: list[tuple[tuple[int, int], ...]] = []
+    buckets: dict[tuple, list[tuple[tuple[int, int], ...]]] = {}
+    for w in witnesses:
+        sig = degree_sequence(w)
+        group = buckets.setdefault(sig, [])
+        if not any(isomorphic(w, seen) for seen in group):
+            group.append(w)
+            kept.append(w)
+    return kept

@@ -8,6 +8,7 @@ no state, so they check the engines independently of the state checks.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from girthscope import (
     enumerate_edges_fast,
     enumerate_induced_fast,
 )
+from girthscope.extremal import canonical_form
 from girthscope.verify import VERIFY_MAX_M
 
 nx = pytest.importorskip("networkx")
@@ -87,3 +89,18 @@ def test_edge_engine_equals_the_baseline_on_the_atlas(connectivity):
             assert canonical(fast) == canonical(base) == brute_force_enumerate(g, cfg), (g.n, g.edges, k)
             runs += 1
     assert runs == 1638
+
+
+def test_canonical_form_tells_the_atlas_graphs_apart():
+    # the atlas holds one graph per isomorphism class, so its 1,253 graphs
+    # must get 1,253 forms (with n, which tells the edgeless graphs apart),
+    # and a relabelled copy must get its graph's form
+    forms = set()
+    for g in ATLAS:
+        edges = [(u, v) for u, v, _ in g.edges]
+        form = canonical_form(edges, g.n)
+        forms.add((g.n, form))
+        for seed in range(3):
+            perm = random.Random(seed).sample(range(g.n), g.n)
+            assert canonical_form([(perm[u], perm[v]) for u, v in edges], g.n) == form, (g.n, edges, seed)
+    assert len(forms) == len(ATLAS) == 1253

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from girthscope import (
     Collector,
@@ -316,6 +316,9 @@ GRAPH_FILES = st.one_of(
 )
 
 
+# the seed derandomize derived from this test's text; pinned so that an edit
+# leaves its examples as they are
+@seed(0x1c1039e5ef0546d08f80a162a5711fcf1cb8d9767f7f7106a6af8617ad6375748ffa1538a78056cee752fd2d9f70df65)
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(GRAPH_FILES)
 def test_any_graph_file_gets_a_documented_exit_code(tmp_path_factory, content):

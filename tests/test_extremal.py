@@ -27,6 +27,7 @@ from girthscope import edges_fast, extremal
 from girthscope.edges_fast import EdgeRunStats
 from girthscope.extremal import reduce_up_to_isomorphism
 from girthscope.verify import all_connected_graphs, random_corpus
+from _oracles import brute_reduce_up_to_isomorphism
 
 
 def weighted_triangle(w1, w2, w3):
@@ -133,8 +134,12 @@ def test_densest_isomorphism_reduction():
     assert len(result.witnesses) == 1  # every witness is a relabeled 5-cycle
     result = densest_girth_graphs(5, 4, reduce_isomorphic=True)
     assert len(result.witnesses) == 1  # likewise K_{2,3}
-    with pytest.raises(ValidationError):
-        densest_girth_graphs(9, 4, reduce_isomorphic=True)
+    # K10 and K_{4,4}: every vertex of K_n, and every vertex of a side of
+    # K_{a,b}, is a twin of the others, so their forms stay fast past n = 8
+    result = densest_girth_graphs(10, 3, reduce_isomorphic=True)
+    assert (result.max_edges, len(result.witnesses)) == (45, 1)
+    result = densest_girth_graphs(8, 4, reduce_isomorphic=True)
+    assert (result.max_edges, len(result.witnesses)) == (16, 1)
 
 
 def test_densest_non_connected_variant():
@@ -395,6 +400,24 @@ def test_reduce_up_to_isomorphism_direct():
 
 
 def test_connected_graph_corpus_has_one_graph_per_class():
-    # connected graphs on n unlabelled vertices (OEIS A001349)
-    counts = Counter(g.n for g in all_connected_graphs(5))
-    assert [counts[n] for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    # connected graphs on n unlabelled vertices (OEIS A001349), the atlas's
+    # connected counts that test_atlas pins
+    counts = Counter(g.n for g in all_connected_graphs(6))
+    assert [counts[n] for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+
+# every densest search with n <= 7 and k = 3-7 but (7,5) and (7,6), where the
+# n! oracle alone takes 4-15 s per connectivity
+ORACLE_SEARCHES = [(n, k) for n in range(1, 8) for k in range(3, 8) if (n, k) not in ((7, 5), (7, 6))]
+
+
+def test_reduction_keeps_what_the_permutation_oracle_keeps():
+    # the two connectivities often find the same witnesses (trees, cycles),
+    # and the oracle's answer on a list is asked once
+    oracle = {}
+    for n, k in ORACLE_SEARCHES:
+        for connected_only in (True, False):
+            labelled = densest_girth_graphs(n, k, connected_only=connected_only).witnesses
+            if (n, *labelled) not in oracle:
+                oracle[n, *labelled] = brute_reduce_up_to_isomorphism(labelled, n)
+            assert reduce_up_to_isomorphism(labelled, n) == oracle[n, *labelled], (n, k, connected_only)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from girthscope import (
     GirthscopeError,
@@ -279,6 +279,9 @@ PARSER_LINE = st.one_of(
 PARSER_TEXT = st.one_of(st.text(), st.lists(PARSER_LINE, max_size=8).map("\n".join))
 
 
+# the seed derandomize derived from this test's text; pinned so that an edit
+# leaves its examples as they are
+@seed(0x664d9d4d8c4d84c642bc4ef00ce54600626adc64fc2018fd0ee3c3de4559606e480b94f2460762d28da48c798d5284f2)
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(PARSER_TEXT, st.booleans())
 def test_parsers_raise_only_girthscope_errors(text, weighted):
