@@ -27,14 +27,15 @@ so both engines emit the same stream.
 
 A child with no candidate is a leaf: advance returns None for it, and
 search emits its solution without building a state. A table is read only
-to build a state's children, so a state whose only child is a leaf gets no
-table either (dist None): in the connected variant a state whose one
+to build a state's children, so a state whose only child is a leaf is a fan
+(dist None, enum_core.search): in the connected variant a state whose one
 candidate is inner, or whose one candidate is outer and leads to a fresh
 endpoint with no unmarked edge (an id above first) to another fresh
 vertex; in the non-connected variant every state with one candidate, since
-that variant adds no candidate. Called on such a state, advance only
-counts the pick. On K7 at k=4 this halves the table steps, from 59,404 to
-28,917, for 123,379 solutions of which 63,974 are leaves.
+that variant adds no candidate. advance counts the pick of a fan's child
+when it builds the fan, even if a prune cuts it. On K7 at k=4 this halves
+the table steps, from 59,404 to 28,917, for 123,379 solutions of which
+63,974 are leaves.
 
 No state holds a set of done marks. The child on branch[i] draws only on
 branch[i + 1:], so the candidates before it are marked by their position.
@@ -91,7 +92,7 @@ class EdgeEnumState:
     child shares with its parent every row its step leaves unchanged. Every
     table below the empty root, single-edge states included, comes from the
     one table step update_dist_s. A state whose only child has no candidate
-    has dist None (module docstring).
+    is a fan and has dist None (module docstring).
 
     In the non-connected variant a row of dist holds only the vertices of
     its own component.
@@ -190,15 +191,6 @@ def update_dist_s(state: EdgeEnumState, e: int) -> dict[int, dict[int, Length]]:
     return new
 
 
-def _count_leaf_pick(state: EdgeEnumState, stats: EdgeRunStats | None) -> None:
-    """Count the pick of a state without a table, whose one child is a leaf; it makes no girth test."""
-    if stats is not None:
-        if state.n_inner:
-            stats.inner_picks += 1
-        else:
-            stats.outer_picks += 1
-
-
 def _child_is_a_leaf(g: Graph, d, u: int, v: int, c: int, first: int) -> bool:
     """Has the child on c no candidate, when c is the one candidate left of S + {u-v} and outer?
 
@@ -236,14 +228,11 @@ def advance(
       closes a cycle of length d[u][w] + 2 and becomes inner if that is
       long enough. An edge to a fresh vertex becomes outer iff its id is
       above first.
-    A child with one candidate gets no table when its own child has no
-    candidate. A state with no table is one of those, so on it the call
-    only counts the pick.
+    A child with one candidate is a fan, with no table, when its own child
+    has no candidate; search emits that child without calling advance, so
+    its pick is counted here.
     """
     d = state.dist
-    if d is None:
-        _count_leaf_pick(state, stats)
-        return None
     g = state.g
     branch = state.branch
     n_inner = state.n_inner
@@ -293,15 +282,15 @@ def advance(
         if fresh:
             outer += fresh
             outer.sort()
-    if inner:
-        if len(inner) == 1 and not outer:
-            return EdgeEnumState(g, state.k, solution, inner, 1, first, None)
-        return EdgeEnumState(g, state.k, solution, inner + outer, len(inner), first, update_dist_s(state, e))
-    if not outer:
+    cands = inner + outer if inner else outer
+    if not cands:
         return None
-    if len(outer) == 1 and _child_is_a_leaf(g, d, u, v, outer[0], first):
-        return EdgeEnumState(g, state.k, solution, outer, 0, first, None)
-    return EdgeEnumState(g, state.k, solution, outer, 0, first, update_dist_s(state, e))
+    if len(cands) > 1 or outer and not _child_is_a_leaf(g, d, u, v, outer[0], first):
+        return EdgeEnumState(g, state.k, solution, cands, len(inner), first, update_dist_s(state, e))
+    if stats is not None:  # a fan: the pick of its one child, which search emits unbuilt
+        stats.inner_picks += len(inner)
+        stats.outer_picks += len(outer)
+    return EdgeEnumState(g, state.k, solution, cands, len(inner), first, None)
 
 
 def advance_any(
@@ -317,13 +306,10 @@ def advance_any(
     become inner if the cycle they would close, d[x][u] + 2 + d[v][y], is
     long enough. Every other candidate keeps its class. Below a state with
     one candidate every child is a leaf, since this variant never adds a
-    candidate; such a state gets no table, and on it the call only counts
-    the pick.
+    candidate; such a state is a fan, with no table, and the pick of its
+    one child is counted here.
     """
     d = state.dist
-    if d is None:
-        _count_leaf_pick(state, stats)
-        return None
     k = state.k
     edges = state.g.edges
     e = state.branch[i]
@@ -363,6 +349,9 @@ def advance_any(
     if not branch:
         return None
     first = state.first if state.solution else e
+    if len(branch) == 1 and stats is not None:  # a fan: the pick of its one child, which search emits unbuilt
+        stats.inner_picks += n_inner
+        stats.outer_picks += 1 - n_inner
     dist = update_dist_s(state, e) if len(branch) > 1 else None
     return EdgeEnumState(state.g, k, solution, branch, n_inner, first, dist)
 
@@ -391,11 +380,13 @@ def enumerate_edges_fast(
     candidates the state has not branched on. It must be monotone (see
     `search`): the children a state has left once it cuts are emitted
     unbuilt, with no `advance` call. Only the root and the states with a
-    candidate are built; a leaf is emitted without a state.
+    candidate are built; a leaf is emitted without a state, and so is the
+    one child of a fan, a state whose only child is a leaf.
     `stats.iterations` counts every state emitted, the root included;
     `inner_picks`, `outer_picks` and `pair_checks` count the children
-    advance is asked for, leaves included. Returns the number of solutions
-    emitted.
+    advance is asked for, leaves included, and `inner_picks` and
+    `outer_picks` also the child of each fan, when the fan is built.
+    Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
     if connectivity not in CONNECTIVITIES:

@@ -5,6 +5,8 @@ outputs its solution, then branches on its candidate elements in order, and
 the child on the i-th element draws only on the elements after it, so the
 already-branched ones are excluded from its subtree by position. `search`
 runs that loop; the engines differ only in how a child state is built.
+Neither a leaf nor a child of a fan, a state whose children are all
+leaves, is built.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def validate_fast_input(g: Graph, k: Length) -> None:
 
 class BaselineState:
     """One iteration of the baseline engine: frozen solution, done-set mask, sorted candidates."""
+
+    dist = ()  # no table, and never a fan: search builds every child it branches on
 
     def __init__(self, solution: frozenset[int], excluded: set[int]):
         self.solution = solution
@@ -153,6 +157,16 @@ def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[
     return out
 
 
+def _emit_leaves(emit, stats, parent: frozenset[int], elements) -> bool:
+    """Emit parent | {y} for each y, in order, each as an iteration; False once the run stops."""
+    for y in elements:
+        if stats is not None:
+            stats.iterations += 1
+        if not emit(parent | {y}):
+            return False
+    return True
+
+
 def search(
     root,
     advance: Callable[[object, int, frozenset[int], object], object],
@@ -177,6 +191,13 @@ def search(
     `advance`: the built states are the root it passes and every child
     `advance` returns.
 
+    A built child whose `dist` is None is a fan: every child it has is a
+    leaf. Once its solution is emitted and the prune keeps it, search emits
+    `child.solution | {y}` for each y in its branch, in order, with no
+    push, `advance` or further `prune` call, so the engine counts their
+    work when it builds the fan. Any other `dist`, the baseline's included,
+    marks a state that is no fan.
+
     `prune(state, left)` is asked about a state when it is built, with
     `left` = len(state.branch); returning True skips its subtree but keeps
     its solution. It is asked again before each later child i, with `left` =
@@ -189,10 +210,11 @@ def search(
     is all it emits.
 
     `stats`, when given, gets `iterations` (states emitted, built or not,
-    with the root) and `max_depth` (the root has depth 1); the engines'
-    own counters see only the children `advance` is called for. Returns
-    the number of solutions emitted, partial if `limit` or the sink stopped
-    the run; a negative `limit` raises ValidationError.
+    with the root) and `max_depth` (the root has depth 1, and a fan's
+    children lie one level below the fan); the engines' own counters see
+    only the children `advance` is called for and the fans it builds.
+    Returns the number of solutions emitted, partial if `limit` or the sink
+    stopped the run; a negative `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
     emit = emitter.emit
@@ -218,11 +240,8 @@ def search(
                     # each child left would be cut, so its solution is all it
                     # emits; a built sibling already reached their depth
                     stack.pop()
-                    for y in state.branch[i:]:
-                        if stats is not None:
-                            stats.iterations += 1
-                        if not emit(parent | {y}):
-                            return emitter.count
+                    if not _emit_leaves(emit, stats, parent, state.branch[i:]):
+                        return emitter.count
                     break
             solution = parent | {x}
             child = advance(state, i, solution, stats)
@@ -231,16 +250,19 @@ def search(
                 depth = len(stack) + 1
                 if depth > stats.max_depth:
                     stats.max_depth = depth
-            if child is None:
-                if not emit(solution):
-                    return emitter.count
-                continue
             if not emit(solution):
                 return emitter.count
-            if prune is None or not prune(child, len(child.branch)):
+            if child is None or prune is not None and prune(child, len(child.branch)):
+                continue
+            if child.dist is not None:
                 stack.append((child, enumerate(child.branch)))
                 pushed = True
                 break
+            # a fan: its children are leaves, one level below it
+            if stats is not None and len(stack) + 2 > stats.max_depth:
+                stats.max_depth = len(stack) + 2
+            if not _emit_leaves(emit, stats, solution, child.branch):
+                return emitter.count
         else:
             stack.pop()
     return emitter.count

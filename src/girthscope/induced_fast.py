@@ -31,8 +31,10 @@ together they are the child's branch; at the root v's neighbours above v
 attach through v alone and are the adopted set, with no filter asked. The
 hot loops read the Graph's neighbour tuples and frozensets directly. A child
 with no candidate is a leaf: advance returns None for it and search
-emits its solution without a state. Entries outside the scope are INFINITE
-by convention.
+emits its solution without a state. A child with one candidate c whose own
+child is a leaf, as c has no neighbour to adopt into S + {v}, is a fan
+(dist None, enum_core.search): it writes no table, and search emits its
+child without advance. Entries outside the scope are INFINITE by convention.
 
 No state holds a set of done marks. The child on branch[i] draws only on
 branch[i + 1:], so the candidates before it are marked by their position.
@@ -53,7 +55,11 @@ from .graph import Graph, INFINITE, Length
 
 
 class InducedRunStats:
-    """Counters for one enumeration run (work accounting)."""
+    """Counters for one run: iterations and max_depth as search keeps them, and the filter's pairs.
+
+    A fan's child is emitted without advance; it would have asked the filter
+    about no pair, since it draws on no other candidate.
+    """
 
     def __init__(self):
         self.iterations = 0
@@ -77,7 +83,8 @@ class InducedEnumState:
     built. It has one row per candidate, with solution and candidate columns,
     so a step writes |cand| * (|S| + |cand|) entries, and its key set is the
     candidate set. No second-distance table is stored: the filter derives
-    second distances from the distance rows by the first-hop rule.
+    second distances from the distance rows by the first-hop rule. A fan,
+    a state whose one child is a leaf, has dist None (module docstring).
     """
 
     __slots__ = ("g", "k", "solution", "branch", "first", "dist")
@@ -91,9 +98,9 @@ class InducedEnumState:
         self.dist = dist
 
     @property
-    def cand(self):
-        """The candidate set, as a view of dist's keys."""
-        return self.dist.keys()
+    def cand(self) -> frozenset[int]:
+        """The candidate set, read from branch, so a fan has one too."""
+        return frozenset(self.branch)
 
 
 def initial_state(g: Graph, k: Length) -> InducedEnumState:
@@ -156,22 +163,17 @@ def _split_old_candidates(state: InducedEnumState, i: int) -> list[int]:
     return survivors
 
 
-def adopt_new_candidates(state: InducedEnumState, v: int) -> set[int]:
-    """Unreached neighbours of v: they attach to S + {v} through v alone.
+def adopt_new_candidates(g: Graph, sol: frozenset[int], first: int, v: int) -> list[int]:
+    """Unreached neighbours of v, in ascending id: they attach to sol + {v} through v alone.
 
     A cycle through such a vertex would need two of its neighbours inside the
     new solution, so girth is preserved automatically and no test is needed.
-    Below the root, the only place advance asks, they are the ones outside S
-    with an id above first and no neighbour in S, which no candidate lacks.
+    Below the root they are the neighbours w outside sol with an id above
+    first and no neighbour in sol, which no candidate lacks. advance asks it
+    for v below the root, and for the one candidate of a child it builds.
     """
-    sol = state.solution
-    first = state.first
-    neighbor_sets = state.g._neighbor_sets
-    adopted: set[int] = set()
-    for w in state.g._neighbors[v]:
-        if w > first and w not in sol and neighbor_sets[w].isdisjoint(sol):
-            adopted.add(w)
-    return adopted
+    neighbor_sets = g._neighbor_sets
+    return [w for w in g._neighbors[v] if w > first and w not in sol and neighbor_sets[w].isdisjoint(sol)]
 
 
 def update_dist(
@@ -242,27 +244,31 @@ def advance(
     update_dist writes their rows from the two lists, and together they are
     the child's branch. At the root the survivors would be v's neighbours
     above v, which attach through v alone, so they are the adopted set.
+    A child with one candidate c that has no neighbour to adopt into
+    S + {v} is a fan, with no table: its one child is a leaf.
     """
     v = state.branch[i]
+    g = state.g
     if state.solution:
         survivors = _split_old_candidates(state, i)
-        adopted = sorted(adopt_new_candidates(state, v))
+        adopted = adopt_new_candidates(g, state.solution, state.first, v)
         first = state.first
         if stats is not None:
             stats.candidate_pairs += len(state.branch) - i - 1  # the filter decides every later candidate
     else:
         survivors = []
-        adopted = sorted(y for y in state.g._neighbors[v] if y > v)
+        adopted = [y for y in g._neighbors[v] if y > v]
         first = v
         if stats is not None:
             stats.candidate_pairs += len(adopted)  # at the root, only v's neighbours
-    if not survivors and not adopted:
-        return None
-    dist = update_dist(state, v, survivors, adopted)
     branch = survivors + adopted
+    if not branch:
+        return None
+    if len(branch) == 1 and not adopt_new_candidates(g, solution, first, branch[0]):
+        return InducedEnumState(g, state.k, solution, branch, first, None)
     if survivors and adopted:
         branch.sort()
-    return InducedEnumState(state.g, state.k, solution, branch, first, dist)
+    return InducedEnumState(g, state.k, solution, branch, first, update_dist(state, v, survivors, adopted))
 
 
 def enumerate_induced_fast(
@@ -281,7 +287,8 @@ def enumerate_induced_fast(
     candidate list and distance table, so backtracking needs no undo; the
     root's exclusion marks are the ids below the vertex it branched on, which
     each state keeps as one integer. Only the root and the states with a
-    candidate are built; a leaf is emitted without a state. Returns the
+    candidate are built; a leaf is emitted without a state, and so is the
+    one child of a fan, a state whose only child is a leaf. Returns the
     number of solutions emitted.
     """
     validate_fast_input(g, k)

@@ -59,6 +59,24 @@ def observe(engine, g, k, look, sink=None, *, connectivity="connected", **option
     return search(root, advance, sink, **options)
 
 
+def must_be_a_fan(g, cfg, state, marks, naive):
+    """Is `state` below the root with one naive candidate c, and S + {c} with none?
+
+    Such a state's only child is a leaf, so it must be a fan (dist None,
+    see enum_core.search); every other state must hold a table. `naive` is
+    the state's naive candidates, leaving out `marks`; the child on c
+    inherits the same marks, since c is the first candidate.
+    """
+    return bool(state.solution) and len(naive) == 1 and not candidate_set_naive(
+        g, BaselineState(set(state.solution) | naive, set(marks)), cfg
+    )
+
+
+def searched(state):
+    """The candidates `search` calls advance on below `state`: none below a leaf (None) or a fan."""
+    return () if state is None or state.dist is None else state.branch
+
+
 def induced_dist(state, x, y):
     """dist[x][y] of an induced state in scope, (S | cand) x cand; INFINITE elsewhere."""
     cand = state.dist
@@ -108,9 +126,12 @@ def filter_old_candidates(state, v):
     """Candidates of an induced state below the root that the filter keeps for S + {v}, every other one asked.
 
     The filter scans the candidates after v in branch order, so it is run on
-    a view of the state that branches on v first. The root asks no filter.
+    a view of the state that branches on v first. The root asks no filter,
+    and a fan, whose one candidate leaves no other to ask, keeps none.
     """
     assert state.solution, "the root asks no filter"
+    if state.dist is None:
+        return set()
     branch = [v] + [u for u in state.branch if u != v]
     view = InducedEnumState(state.g, state.k, state.solution, branch, state.first, state.dist)
     return set(_split_old_candidates(view, 0))
@@ -166,9 +187,18 @@ def attachment(state):
 def check_induced_state(g, k, state, marks):
     """Distance and second-distance tables equal their oracles; cand equals the naive candidates.
 
+    A state below the root has no table exactly when its only child is a
+    leaf (must_be_a_fan); every other state's table is compared entry-wise.
     The naive candidates leave out `marks`, the done marks the state
     inherited, as observe shows them.
     """
+    cfg = EnumConfig(k=k)
+    naive = candidate_set_naive(g, BaselineState(set(state.solution), set(marks)), cfg)
+    assert state.cand == naive, f"cand {sorted(state.cand)} != {sorted(naive)} at S={sorted(state.solution)}"
+    if must_be_a_fan(g, cfg, state, marks, naive):
+        assert state.dist is None, f"S={sorted(state.solution)}, whose one child is a leaf, holds a table"
+        return
+    assert state.dist is not None, f"S={sorted(state.solution)} holds no table, but its child branches"
     scope = state.solution | state.cand
     for x in scope:
         for y in state.cand:
@@ -186,10 +216,6 @@ def check_induced_state(g, k, state, marks):
             assert induced_second(state, u, w) == expected, (
                 f"second[{u}][{w}] = {induced_second(state, u, w)} != {expected} at S={sorted(state.solution)}"
             )
-    naive = candidate_set_naive(
-        g, BaselineState(set(state.solution), set(marks)), EnumConfig(k=k)
-    )
-    assert state.cand == naive, f"cand {sorted(state.cand)} != {sorted(naive)} at S={sorted(state.solution)}"
 
 
 def solution_bfs_levels(g, edge_ids, source):
@@ -213,22 +239,18 @@ def check_edge_state(g, k, state, marks, connectivity="connected"):
     """Distance rows equal a BFS within each component; candidates equal the naive ones.
 
     A state below the root has no table exactly when its only child is a
-    leaf (the naive candidates of S + {c} for its one candidate c are
-    none); every other state has one row per solution vertex. A candidate is
-    inner when both its endpoints lie in one component of the solution (in
-    the connected variant: both in V(S)), outer otherwise; branch lists the
-    inner ones first in the connected variant, and every candidate in
-    ascending id in the other. The naive candidates leave out `marks`, as in
-    check_induced_state.
+    leaf (must_be_a_fan); every other state has one row per solution
+    vertex. A candidate is inner when both its endpoints lie in one
+    component of the solution (in the connected variant: both in V(S)),
+    outer otherwise; branch lists the inner ones first in the connected
+    variant, and every candidate in ascending id in the other. The naive
+    candidates leave out `marks`, as in check_induced_state.
     """
     cfg = EnumConfig(k=k, mode="edge", connectivity=connectivity)
     verts = solution_vertices(state)
     bfs = {x: solution_bfs_levels(g, state.solution, x) for x in verts}
     naive = candidate_set_naive(g, BaselineState(set(state.solution), set(marks)), cfg)
-    leaf_child = len(naive) == 1 and not candidate_set_naive(
-        g, BaselineState(set(state.solution) | naive, set(marks)), cfg
-    )
-    if state.solution and leaf_child:
+    if must_be_a_fan(g, cfg, state, marks, naive):
         assert state.dist is None, f"S={sorted(state.solution)}, whose one child is a leaf, holds a table"
     else:
         assert state.dist is not None, f"S={sorted(state.solution)} holds no table, but its child branches"
@@ -260,13 +282,14 @@ def check_advance_keeps_parent(state, advance):
 
     Each child is in turn advanced on each of its own candidates, so a row
     or list that a child shares with its parent shows here if a later step
-    writes to it.
+    writes to it. As in search, a fan is not advanced on: its children are
+    leaves, emitted unbuilt.
     """
     fields = [f for f in type(state).__slots__ if f not in ("g", "k")]
     before = copy.deepcopy([getattr(state, f) for f in fields])
-    for i, x in enumerate(state.branch):
+    for i, x in enumerate(searched(state)):
         child = advance(state, i, state.solution | {x}, None)
-        for j, y in enumerate(child.branch if child is not None else ()):
+        for j, y in enumerate(searched(child)):
             advance(child, j, child.solution | {y}, None)
     after = [getattr(state, f) for f in fields]
     assert after == before, f"advance changed the parent at S={sorted(state.solution)}"

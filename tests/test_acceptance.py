@@ -145,19 +145,28 @@ def test_criterion_5_transition_invariants():
             assert outer == pre_outer
             assert inner < pre_inner
         checked.append(state.branch[i])
+        if nxt is not None and nxt.dist is None:  # a fan: search emits its children without advance
+            fan_children.update(solution | {y} for y in nxt.branch)
         return nxt
+
+    def count_fanned(solution, ordinal):
+        nonlocal fanned
+        fanned += solution in fan_children
 
     for g, ks in [(cycle_graph(4), (4,)), (complete_graph(4), (3, 4)), (petersen_graph(), (5,))]:
         for k in ks:
             checked: list[int] = []
+            fan_children: set[frozenset[int]] = set()
+            fanned = 0
             count = search(
                 edges_fast.initial_state(g, k),
                 checking_advance,
-                None,
+                count_fanned,
                 include_empty=False,
                 limit=20_000,
             )
-            assert len(checked) == count == enumerate_edges_fast(g, k, include_empty=False, limit=20_000)
+            assert fanned > 0
+            assert len(checked) + fanned == count == enumerate_edges_fast(g, k, include_empty=False, limit=20_000)
 
     # the induced candidate filter agrees with a from-scratch girth check on every
     # (candidate, added-vertex) pair the filter ever decides

@@ -1,9 +1,10 @@
-"""Baseline binary-partition engine and the brute-force oracle."""
+"""The search driver, the baseline binary-partition engine and the brute-force oracle."""
 
 from __future__ import annotations
 
 import random
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from girthscope import (
     petersen_graph,
 )
 from girthscope import edges_fast, induced_fast
-from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive
+from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive, search
 from girthscope.verify import random_corpus
 from _oracles import independent_solutions
 from _state_checks import observe
@@ -295,3 +296,95 @@ def test_observer_shows_the_root_then_each_built_child(name):
     )
     assert count == len(stream)
     assert (len(shown), len(stream), zlib.crc32(repr((shown, stream)).encode())) == expected
+
+
+# --- fans: states whose children are all leaves ------------------------------
+
+def toy_candidates(solution):
+    """A toy tree over 0..6: up to three elements, each 1 to 3 above the one before."""
+    if len(solution) == 3:
+        return []
+    low = max(solution) + 1 if solution else 0
+    return list(range(low, min(low + 3, 7)))
+
+
+def toy_run(fans, *, limit=None, sink=None, prune=None):
+    """search over the toy tree, whose states are fans when `fans` and their children are all leaves.
+
+    Returns (count, stream, iterations, max_depth, fan states built, prune calls by solution).
+    """
+    stream, built, asked = [], [], {}
+
+    def state(solution):
+        branch = toy_candidates(solution)
+        fan = fans and bool(solution) and not any(toy_candidates(solution | {y}) for y in branch)
+        return SimpleNamespace(solution=solution, branch=branch, dist=None if fan else {})
+
+    def advance(parent, i, solution, stats):
+        assert solution == parent.solution | {parent.branch[i]}
+        child = state(solution)
+        if not child.branch:
+            return None
+        if child.dist is None:
+            built.append(child)
+        return child
+
+    def record(solution, ordinal):
+        stream.append(solution)
+        return None if sink is None else sink(solution, ordinal)
+
+    def asking(st, left):
+        asked.setdefault(st.solution, []).append(left)
+        return prune(st, left)
+
+    stats = SimpleNamespace(iterations=0, max_depth=0)
+    count = search(
+        state(frozenset()), advance, record, limit=limit, prune=None if prune is None else asking, stats=stats
+    )
+    return count, stream, stats.iterations, stats.max_depth, built, asked
+
+
+def test_toy_tree_has_fans_of_one_and_of_several_children():
+    count, stream, _, _, built, _ = toy_run(True)
+    assert count == len(stream) == len(set(stream))
+    sizes = {len(fan.branch) for fan in built}
+    assert 1 in sizes and max(sizes) > 1
+
+
+def test_a_fan_emits_the_stream_of_its_unfanned_tree():
+    # search emits a fan's children itself, in branch order, right after the
+    # fan, counting each as an iteration one level below it
+    assert toy_run(True)[:4] == toy_run(False)[:4]
+
+
+def test_a_limit_inside_a_fan_stops_where_the_unfanned_run_stops():
+    total = toy_run(False)[0]
+    for limit in range(total + 2):
+        assert toy_run(True, limit=limit)[:4] == toy_run(False, limit=limit)[:4], limit
+
+
+def test_a_sink_stop_inside_a_fan_stops_the_run():
+    def stop_at(last):
+        return lambda solution, ordinal: ordinal != last
+
+    _, full, _, _, built, _ = toy_run(True)
+    fan_children = {fan.solution | {y} for fan in built for y in fan.branch}
+    for last in range(len(full)):
+        fanned = toy_run(True, sink=stop_at(last))
+        assert fanned[0] == last + 1 and fanned[1] == full[: last + 1]
+        assert fanned[:4] == toy_run(False, sink=stop_at(last))[:4]
+    assert fan_children < set(full)
+
+
+def test_the_prune_is_asked_once_per_fan():
+    # a fan is offered to the prune when it is built, never again before its
+    # children; a monotone prune that cuts some fans gives the unfanned stream
+    kept = toy_run(True, prune=lambda st, left: False)
+    built, asked = kept[4], kept[5]
+    assert built
+    for fan in built:
+        assert asked[fan.solution] == [len(fan.branch)]
+    with_one = lambda st, left: 1 in st.solution  # every child of a cut state holds 1 too
+    cut = toy_run(True, prune=with_one)
+    assert cut[:4] == toy_run(False, prune=with_one)[:4]
+    assert any(1 in fan.solution for fan in cut[4]) and any(1 not in fan.solution for fan in cut[4])

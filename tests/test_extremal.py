@@ -299,16 +299,22 @@ def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, 
     # once a state's prune cuts on the candidates it has left, its remaining
     # children are emitted, not built: at most 0.7 of the emitted states are
     # built, where building every child would give explored - 1. iterations
-    # still counts every emitted state, the picks only the built children.
-    built = 0
+    # still counts every emitted state, the picks only the children advance
+    # is asked for and the one child of each fan, counted when the fan is
+    # built, whether or not the prune then cuts it.
+    built = fans = 0
     stats = EdgeRunStats()
     engine = extremal.enumerate_edges_fast
 
     def counting(step):
         def counted(*args):
-            nonlocal built
+            nonlocal built, fans
             built += 1
-            return step(*args)
+            child = step(*args)
+            if child is not None and child.dist is None:
+                assert len(child.branch) == 1
+                fans += 1
+            return child
 
         return counted
 
@@ -319,7 +325,8 @@ def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, 
     assert (r.max_edges, r.explored, len(r.witnesses), zlib.crc32(repr(r.witnesses).encode())) == expected
     assert built <= 0.7 * r.explored
     assert stats.iterations == r.explored
-    assert stats.inner_picks + stats.outer_picks == built
+    assert fans > 0
+    assert stats.inner_picks + stats.outer_picks == built + fans
 
 
 def prune_bound(solution, first, left, n, edges, connected):
@@ -337,7 +344,9 @@ def prune_bound(solution, first, left, n, edges, connected):
 def test_extremal_prune_bounds_are_monotone(n, k, connected, monkeypatch):
     # search emits a cut state's remaining children unbuilt, which is sound
     # only if no child's bound exceeds its parent's on the candidates the
-    # parent has left when the child is built; walk the unpruned tree
+    # parent has left when the child is built; walk the unpruned tree. A
+    # fan's children, which search emits without advance, are checked
+    # against the fan the same way.
     g = complete_graph(n)
     name = "advance" if connected else "advance_any"
     step = getattr(edges_fast, name)
@@ -353,6 +362,11 @@ def test_extremal_prune_bounds_are_monotone(n, k, connected, monkeypatch):
         else:  # a leaf, which is not built, has no candidate left
             left, first = 0, state.first if state.solution else state.branch[i]
         assert prune_bound(solution, first, left, n, g.edges, connected) <= parent_bound
+        if child is not None and child.dist is None:
+            for j, y in enumerate(child.branch):
+                children += 1
+                fan_bound = prune_bound(solution, first, len(child.branch) - j, n, g.edges, connected)
+                assert prune_bound(solution | {y}, first, 0, n, g.edges, connected) <= fan_bound
         return child
 
     monkeypatch.setattr(edges_fast, name, checked_step)

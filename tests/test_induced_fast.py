@@ -21,6 +21,7 @@ from girthscope import (
     petersen_graph,
 )
 from girthscope import induced_fast
+from girthscope.enum_core import BaselineState, candidate_set_naive
 from girthscope.induced_fast import (
     InducedEnumState,
     InducedRunStats,
@@ -39,6 +40,7 @@ from _state_checks import (
     filter_old_candidates,
     induced_dist,
     induced_second,
+    must_be_a_fan,
     observe,
     status,
 )
@@ -83,17 +85,27 @@ def test_filter_old_candidates_examples():
     assert filter_old_candidates(st4, 2) == {3}  # 1 + 3 >= 4
 
 
+def adopt_at(st, v):
+    """adopt_new_candidates for v added to the state st."""
+    return adopt_new_candidates(st.g, st.solution, st.first, v)
+
+
 def test_adopt_new_candidates_examples():
-    assert adopt_new_candidates(state_at(cycle_graph(4), 5, [0]), 1) == {2}
-    assert adopt_new_candidates(state_at(path_graph(3), 5, [0]), 1) == {2}
-    assert adopt_new_candidates(state_at(complete_graph(3), 5, [0]), 1) == set()
+    assert adopt_at(state_at(cycle_graph(4), 5, [0]), 1) == [2]
+    assert adopt_at(state_at(path_graph(3), 5, [0]), 1) == [2]
+    assert adopt_at(state_at(complete_graph(3), 5, [0]), 1) == []
+    # a neighbour with an id below first is root-marked, one with a neighbour in S is attached
+    assert adopt_at(state_at(path_graph(4), 5, [1]), 2) == [3]
+    assert adopt_new_candidates(path_graph(4), frozenset({1, 2}), 1, 2) == []
+    assert adopt_new_candidates(path_graph(4), frozenset({1, 2}), 1, 1) == []
 
 
 def test_update_dist_examples():
     st = state_at(cycle_graph(4), 4, [0, 1])
     assert induced_dist(st, 2, 3) == 1  # the edge {2,3} inside the pair graph
-    st = state_at(path_graph(3), 4, [0, 1])
-    assert induced_dist(st, 0, 2) == 2
+    st = state_at(path_graph(3), 4, [0])
+    assert induced_fast.update_dist(st, 1, [], [2])[2][0] == 2
+    assert child_on(st, 1, advance).dist is None  # 2 adopts nothing: the child is a fan, with no table
 
 
 def test_update_dist_never_lengthens():
@@ -101,7 +113,7 @@ def test_update_dist_never_lengthens():
     st = state_at(g, 5, [0])
     for v in sorted(st.cand):
         child = child_on(st, v, advance)
-        if child is None:
+        if child is None or child.dist is None:  # a leaf or a fan: no table
             continue
         for x in child.solution | child.cand:
             for u in child.cand:
@@ -126,8 +138,10 @@ def test_statuses_and_done_exclusion():
     child = child_on(st, 3, advance)  # 1 comes before 3, so the child excludes it
     assert status(child, 1, marks={1}) == "done-excluded"
     assert child.cand == {2}
-    assert induced_dist(child, 2, 1) == INFINITE  # out of scope once excluded
-    assert child_on(child, 2, advance) is None  # 1 is attached to S: marked, never adopted
+    # 1 is attached to S: marked, never adopted, so the one child, on 2, is
+    # a leaf, and child is a fan, with no table
+    assert adopt_at(child, 2) == []
+    assert child.dist is None
 
     stg = state_at(c4, 5, [0, 1])  # adding 1 kills nothing; adding 2 girth-drops 3
     assert child_on(stg, 2, advance) is None  # a leaf is not built
@@ -289,6 +303,15 @@ def test_rejects_weighted_graphs():
         enumerate_induced_fast(path_graph(2), 2)
 
 
+def holds_a_table(g, k, st, marks):
+    """Does st hold a table? Asserts that it does exactly when it is no fan by the naive rule (must_be_a_fan)."""
+    cfg = EnumConfig(k=k)
+    naive = candidate_set_naive(g, BaselineState(set(st.solution), set(marks)), cfg)
+    fan = must_be_a_fan(g, cfg, st, marks, naive)
+    assert (st.dist is None) == fan, f"S={sorted(st.solution)}: fan {fan}, table {st.dist is not None}"
+    return not fan
+
+
 def test_dist_table_keeps_only_pairs_with_a_candidate_end():
     # solution x solution entries are never read, so they are not stored: a
     # solution row holds candidate columns only, and the table is bounded by
@@ -302,6 +325,8 @@ def test_dist_table_keeps_only_pairs_with_a_candidate_end():
         def check(st, marks):
             nonlocal seen
             seen += 1
+            if not holds_a_table(g, 5, st, marks):
+                return
             for x in st.solution:
                 assert not set(st.dist.get(x, ())) & st.solution, f"row {x} at S={sorted(st.solution)}"
             entries = sum(len(row) for row in st.dist.values())
@@ -324,6 +349,8 @@ def test_dist_table_has_candidate_rows_only():
         def check(st, marks):
             nonlocal seen
             seen += 1
+            if not holds_a_table(g, 5, st, marks):
+                return
             assert not st.solution & set(st.dist), f"solution rows at S={sorted(st.solution)}"
             entries = sum(len(row) for row in st.dist.values())
             s, c = len(st.solution), len(st.cand)
@@ -334,7 +361,8 @@ def test_dist_table_has_candidate_rows_only():
 
 def test_each_step_writes_exactly_the_candidate_rows():
     # no state is changed once built, so its rows are exactly its cand:
-    # one per survivor and one per adopted vertex, and none for anything else
+    # one per survivor and one per adopted vertex, and none for anything
+    # else; a fan, whose one child is a leaf, writes none
     rng = random.Random(12)
     n = 12
     rand12 = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
@@ -344,7 +372,8 @@ def test_each_step_writes_exactly_the_candidate_rows():
         def check(st, marks):
             nonlocal seen
             seen += 1
-            assert set(st.dist) == st.cand, f"S={sorted(st.solution)}"
+            if holds_a_table(g, 5, st, marks):
+                assert set(st.dist) == st.cand, f"S={sorted(st.solution)}"
 
         assert observe(induced_fast, g, 5, check) > seen > 0
 
@@ -356,14 +385,15 @@ def test_advance_leaves_the_parent_untouched():
 
 def test_root_child_is_built_by_the_adoption_step(monkeypatch):
     # at the root v's unmarked neighbours attach through v alone: they reach
-    # update_dist as adopted vertices, and no adoption scan runs there
+    # update_dist as adopted vertices, and no adoption scan runs there (the
+    # fan test of a root child asks it for S + {v}, which is not empty)
     update_dist = induced_fast.update_dist
     adopt = induced_fast.adopt_new_candidates
     root_tables = 0
 
-    def checked_adopt(state, v):
-        assert state.solution, f"adoption asked at the root for v={v}"
-        return adopt(state, v)
+    def checked_adopt(g, sol, first, v):
+        assert sol, f"adoption asked at the root for v={v}"
+        return adopt(g, sol, first, v)
 
     def checked_update_dist(state, v, survivors, adopted):
         nonlocal root_tables
