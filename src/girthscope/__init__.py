@@ -1,8 +1,9 @@
 """girthscope: enumerate connected subgraphs of bounded girth.
 
 Library surface for the four enumerators (baseline binary partition, fast
-induced, fast edge, brute-force oracle), girth, the densest-girth-k search,
-and the benchmark/verification harnesses. Engine states, run counters and
+induced, fast edge, brute-force oracle), the front door that picks one of
+them for a variant, girth, the densest-girth-k search, and the
+benchmark/verification harnesses. Engine states, run counters and
 corpus builders stay importable from their own modules.
 
 The harness names (BenchReport, bench_compare, run_verification) are loaded
@@ -56,6 +57,7 @@ __all__ = [
     "enumerate_baseline",
     "enumerate_edges_fast",
     "enumerate_induced_fast",
+    "enumerate_subgraphs",
     "format_extremal_report",
     "girth_unweighted",
     "girth_weighted",
@@ -68,6 +70,22 @@ __all__ = [
     "run_verification",
     "to_edge_list",
 ]
+
+
+def enumerate_subgraphs(g: Graph, cfg: EnumConfig, sink: SolutionSink | None = None) -> int:
+    """Enumerate the variant `cfg` names on g, on the fastest engine that runs it.
+
+    No fast engine runs a weighted graph or induced mode without connectivity,
+    so the baseline runs those. Returns the number of solutions emitted.
+    """
+    cfg.validate()
+    if g.weighted or (cfg.mode == "induced" and cfg.connectivity == "any"):
+        return enumerate_baseline(g, cfg, sink)
+    if cfg.mode == "induced":
+        return enumerate_induced_fast(g, cfg.k, sink, include_empty=cfg.include_empty, limit=cfg.limit)
+    return enumerate_edges_fast(
+        g, cfg.k, sink, connectivity=cfg.connectivity, include_empty=cfg.include_empty, limit=cfg.limit
+    )
 
 
 def __getattr__(name: str):

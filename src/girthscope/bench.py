@@ -10,10 +10,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .edges_fast import enumerate_edges_fast
+from . import enumerate_subgraphs
 from .enum_core import EnumConfig, _solution_ok, brute_force_enumerate, brute_force_total
 from .graph import Graph, INFINITE, Length
-from .induced_fast import enumerate_induced_fast
 
 BENCH_MAX_EXPONENT = 28  # bench_compare's brute force refuses more than 2**28 subsets
 
@@ -68,14 +67,16 @@ def bench_compare(
     limit: int | None = None,
     graph_desc: str | None = None,
 ) -> BenchReport:
-    """Run the fast engine and the brute-force filter on identical input.
+    """Run `enumerate_subgraphs` and the brute-force filter on identical input.
 
-    The fast solutions are cross-checked, and any mismatch marks the report
-    FAILED: that is a correctness alarm, not a measurement artifact. They
-    must be distinct and as many as the brute-force ones. Without a limit
-    they must equal the brute-force set; with a limit both sides stop after
-    the same number of solutions, which need not be the same ones, so each
-    fast solution is re-checked from scratch instead.
+    On a weighted graph that is the baseline engine, so this times the
+    baseline; the report still calls that side "fast". The fast solutions
+    are cross-checked, and any mismatch marks the report FAILED: that is a
+    correctness alarm, not a measurement artifact. They must be distinct
+    and as many as the brute-force ones. Without a limit they must equal
+    the brute-force set; with a limit both sides stop after the same number
+    of solutions, which need not be the same ones, so each fast solution is
+    re-checked from scratch instead.
     """
     cfg = EnumConfig(k=k, mode=mode, limit=limit)
     cfg.validate()
@@ -95,8 +96,7 @@ def bench_compare(
         last_emit = now
 
     t0 = time.perf_counter()
-    engine = enumerate_edges_fast if mode == "edge" else enumerate_induced_fast
-    fast_count = engine(g, k, delay_probe, limit=limit)
+    fast_count = enumerate_subgraphs(g, cfg, delay_probe)
     fast_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -7,13 +7,12 @@ import os
 import sys
 from pathlib import Path
 
-from .edges_fast import enumerate_edges_fast
-from .enum_core import EnumConfig, brute_force_total, enumerate_baseline, validate_threshold
+from . import enumerate_subgraphs
+from .enum_core import EnumConfig, brute_force_total, validate_threshold
 from .errors import BudgetExceededError, GirthscopeError, ParseError, ValidationError
 from .extremal import densest_girth_graphs, format_extremal_report
 from .girth import girth_unweighted, girth_weighted
 from .graph import Graph, INFINITE, complete_graph, parse_dimacs, parse_edge_list
-from .induced_fast import enumerate_induced_fast
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1  # verify or bench found solutions that differ
@@ -87,20 +86,8 @@ class _UsageError(Exception):
     """Usage problem argparse cannot see, such as an unwritable --output (mapped to the usage exit code)."""
 
 
-def _run_enumeration(args, g: Graph, sink) -> int:
-    """Run the fast engine of the variant, or the baseline where there is none.
-
-    No fast engine runs a weighted graph or induced mode without connectivity.
-    """
-    include_empty = not args.no_empty
-    if g.weighted or (args.mode == "induced" and args.connectivity == "any"):
-        cfg = EnumConfig(args.k, args.mode, args.connectivity, include_empty, args.limit)
-        return enumerate_baseline(g, cfg, sink)
-    if args.mode == "induced":
-        return enumerate_induced_fast(g, args.k, sink, include_empty=include_empty, limit=args.limit)
-    return enumerate_edges_fast(
-        g, args.k, sink, connectivity=args.connectivity, include_empty=include_empty, limit=args.limit
-    )
+def _enum_config(args) -> EnumConfig:
+    return EnumConfig(args.k, args.mode, args.connectivity, not args.no_empty, args.limit)
 
 
 def _report_limit(args, count: int) -> None:
@@ -126,7 +113,7 @@ def _cmd_enum(args) -> int:
         def sink(solution, ordinal):
             out.write(_solution_line(solution, g, args.mode, args.endpoints) + "\n")
 
-        count = _run_enumeration(args, g, sink)
+        count = enumerate_subgraphs(g, _enum_config(args), sink)
     finally:
         if args.output:
             out.close()
@@ -136,7 +123,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _load_graph(args)
-    count = _run_enumeration(args, g, None)
+    count = enumerate_subgraphs(g, _enum_config(args))
     print(count)
     _report_limit(args, count)
     return EXIT_OK
@@ -213,11 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("bench", help="time the fast engine against the brute-force filter")
-    p.add_argument("--graph", "-g", default=None, help="path to the input graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", "-g", help="path to the input graph")
+    source.add_argument("--complete", type=int, metavar="N", help="benchmark on K_N instead of a file")
     p.add_argument(
         "--format", choices=("auto", "edgelist", "dimacs"), default="auto", help="input format"
     )
-    p.add_argument("--complete", type=int, default=None, metavar="N", help="benchmark on K_N instead of a file")
     p.add_argument("-k", type=_k_value, required=True)
     p.add_argument("--mode", choices=("induced", "edge"), default="edge")
     p.add_argument("--limit", type=int, default=None)
@@ -238,9 +226,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "bench" and (args.graph is None) == (args.complete is None):
-        print("bench needs exactly one of --graph or --complete", file=sys.stderr)
-        return EXIT_USAGE
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here rather than at interpreter exit

@@ -64,7 +64,7 @@ def validate_fast_input(g: Graph, k: Length) -> None:
     """Reject what the fast engines cannot run: a bad threshold or a weighted graph."""
     validate_threshold(k)
     if g.weighted:
-        raise ValidationError("fast enumeration is unweighted; use the baseline engine")
+        raise ValidationError("fast enumeration is unweighted; enumerate_subgraphs runs a weighted graph")
 
 
 class BaselineState:

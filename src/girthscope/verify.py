@@ -10,12 +10,11 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
+from . import enumerate_subgraphs
 from .enum_core import Collector, EnumConfig, brute_force_enumerate, enumerate_baseline
-from .edges_fast import enumerate_edges_fast
 from .errors import ValidationError
 from .extremal import reduce_up_to_isomorphism
 from .graph import Graph, INFINITE, Length, is_connected
-from .induced_fast import enumerate_induced_fast
 
 
 def all_connected_graphs(max_n: int) -> list[Graph]:
@@ -80,19 +79,19 @@ def run_verification(
 ) -> list[str]:
     """Full oracle-equivalence matrix; returns a list of discrepancy strings.
 
-    Corpus: every connected graph on <= 5 vertices plus `random_count` random
-    graphs with n <= VERIFY_MAX_N. For each graph and threshold, the baseline
-    engine is checked against the brute-force filter in all four
-    mode/connectivity combinations, and the fast engines against it in every
-    combination they run: both connected modes and edge mode without
-    connectivity (edge mode restricted to graphs with m <= VERIFY_MAX_M). An
-    engine fails a check if it misses a solution, adds one, or emits one
-    twice.
+    Corpus: every connected graph on <= 5 vertices plus `random_count`
+    unweighted and `random_count` weighted random graphs with
+    n <= VERIFY_MAX_N. Every variant of every graph and threshold (both modes
+    and both connectivities, edge mode only on graphs with m <= VERIFY_MAX_M)
+    runs through `enumerate_baseline` and `enumerate_subgraphs`, and each is
+    checked against the brute-force filter. A function fails a check if it
+    misses a solution, adds one, or emits one twice.
     """
     if random_count < 0:
         raise ValidationError("random_count must be >= 0")
     say = report or (lambda _msg: None)
     corpus = all_connected_graphs(5) + random_corpus(random_count, VERIFY_MAX_N, seed)
+    corpus += random_corpus(random_count, VERIFY_MAX_N, seed + 1, weighted=True)
     failures: list[str] = []
 
     def check(name: str, got, expected):
@@ -109,16 +108,9 @@ def run_verification(
                 for connectivity in ("connected", "any"):
                     cfg = EnumConfig(k=k, mode=mode, connectivity=connectivity)
                     expected = brute_force_enumerate(g, cfg)
-                    sink = Collector()
-                    enumerate_baseline(g, cfg, sink)
-                    check(f"{tag} k={k} {mode}/{connectivity} baseline", sink.solutions, expected)
-                    if mode == "induced" and connectivity == "any":
-                        continue  # the fast induced engine is connected-only
-                    fast = Collector()
-                    if mode == "induced":
-                        enumerate_induced_fast(g, k, fast)
-                    else:
-                        enumerate_edges_fast(g, k, fast, connectivity=connectivity)
-                    check(f"{tag} k={k} {mode}/{connectivity} fast", fast.solutions, expected)
+                    for enumerate_ in (enumerate_baseline, enumerate_subgraphs):
+                        sink = Collector()
+                        enumerate_(g, cfg, sink)
+                        check(f"{tag} k={k} {mode}/{connectivity} {enumerate_.__name__}", sink.solutions, expected)
     say(f"verified {len(corpus)} graphs x {len(VERIFY_THRESHOLDS)} thresholds; {len(failures)} failure(s)")
     return failures

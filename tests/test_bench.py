@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-import girthscope.bench as bench_module
+import girthscope
 from girthscope import (
     INFINITE,
     BudgetExceededError,
@@ -65,7 +65,7 @@ def test_mode_validation():
 def test_duplicated_solution_fails_even_when_counts_agree(monkeypatch):
     # the engine repeats one solution in place of another, so counts still
     # match (and a limit caps both sides at the same number anyway)
-    real = bench_module.enumerate_edges_fast
+    real = girthscope.enumerate_edges_fast
 
     def duplicating(g, k, sink, **kwargs):
         emitted = []
@@ -76,7 +76,7 @@ def test_duplicated_solution_fails_even_when_counts_agree(monkeypatch):
 
         return real(g, k, relay, **kwargs)
 
-    monkeypatch.setattr(bench_module, "enumerate_edges_fast", duplicating)
+    monkeypatch.setattr(girthscope, "enumerate_edges_fast", duplicating)
     for limit in (None, 50):
         report = bench_compare(complete_graph(5), 4, mode="edge", limit=limit)
         assert report.fast_count == report.brute_count
@@ -89,8 +89,8 @@ def test_budget_is_checked_before_the_fast_run(monkeypatch, capsys):
     def refused(*args, **kwargs):
         raise AssertionError("the fast engine ran on an input over the brute-force budget")
 
-    monkeypatch.setattr(bench_module, "enumerate_edges_fast", refused)
-    monkeypatch.setattr(bench_module, "enumerate_induced_fast", refused)
+    monkeypatch.setattr(girthscope, "enumerate_edges_fast", refused)
+    monkeypatch.setattr(girthscope, "enumerate_induced_fast", refused)
     for mode in ("edge", "induced"):
         with pytest.raises(BudgetExceededError):
             bench_compare(complete_graph(30), 4, mode=mode)

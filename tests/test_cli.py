@@ -10,19 +10,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import girthscope
 from girthscope import (
     Collector,
     EnumConfig,
     ValidationError,
-    cli,
+    bench_compare,
     enumerate_baseline,
     enumerate_edges_fast,
     enumerate_induced_fast,
+    enumerate_subgraphs,
     parse_edge_list,
     petersen_graph,
     run_verification,
     to_edge_list,
-    verify,
 )
 from girthscope.cli import (
     EXIT_BUDGET,
@@ -137,7 +138,7 @@ FAST_ENGINE = {"induced": "enumerate_induced_fast", "edge": "enumerate_edges_fas
 
 
 def record_engines(monkeypatch) -> list[str]:
-    """Wrap the engine names in girthscope.cli; returns the names called, in order."""
+    """Wrap the engine names in the girthscope namespace; returns the names called, in order."""
     called = []
 
     def recorded(name, real):
@@ -148,14 +149,16 @@ def record_engines(monkeypatch) -> list[str]:
         return engine
 
     for name in ("enumerate_induced_fast", "enumerate_edges_fast", "enumerate_baseline"):
-        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        monkeypatch.setattr(girthscope, name, recorded(name, getattr(girthscope, name)))
     return called
 
 
 def library_stream(g, k, mode, connectivity, engine) -> str:
     """What `enum` prints for the solutions `engine` emits on g."""
     sink = Collector()
-    if engine == "enumerate_baseline":
+    if engine == "enumerate_subgraphs":
+        enumerate_subgraphs(g, EnumConfig(k=k, mode=mode, connectivity=connectivity), sink)
+    elif engine == "enumerate_baseline":
         enumerate_baseline(g, EnumConfig(k=k, mode=mode, connectivity=connectivity), sink)
     elif mode == "induced":
         enumerate_induced_fast(g, k, sink)
@@ -191,6 +194,22 @@ def test_every_variant_runs_on_the_engine_for_it(graph_file, monkeypatch, capsys
     assert capsys.readouterr() == (expected, "")
     triangle = "0 1 2" if mode == "induced" else "0 1 5"
     assert (triangle in expected.splitlines()) == (weights == "weighted")
+    front_door = library_stream(parse_edge_list(text, weighted=flag), 4, mode, connectivity, "enumerate_subgraphs")
+    assert front_door == expected
+    assert called == [engine, engine]
+
+
+@pytest.mark.parametrize("mode", ["induced", "edge"])
+def test_bench_times_the_baseline_on_a_weighted_graph(mode):
+    report = bench_compare(parse_edge_list(CHORDED_C5["weighted"], weighted=True), 4, mode=mode)
+    assert report.ok and report.fast_count == report.brute_count
+
+
+@pytest.mark.parametrize("mode,connectivity", [("both", "connected"), ("induced", "some")])
+def test_front_door_refuses_an_unknown_variant(mode, connectivity):
+    # no engine is picked for a variant that does not exist
+    with pytest.raises(ValidationError):
+        enumerate_subgraphs(petersen_graph(), EnumConfig(k=4, mode=mode, connectivity=connectivity))
 
 
 @pytest.mark.parametrize("command", ["count", "enum"])
@@ -269,6 +288,7 @@ def test_extremal_refuses_from_n_before_building(flags, monkeypatch, capsys):
 def test_usage_exit_codes(capsys):
     assert run_cli(["count", "-k", "4"]) == EXIT_USAGE  # missing --graph
     assert run_cli(["bench", "-k", "4"]) == EXIT_USAGE  # neither --graph nor --complete
+    assert run_cli(["bench", "--graph", "x", "--complete", "4", "-k", "4"]) == EXIT_USAGE  # both
     assert run_cli(["count", "--graph", "x", "-k", "2"]) == EXIT_USAGE  # k too small
     assert run_cli(["--help"]) == EXIT_OK
 
@@ -343,12 +363,13 @@ def test_bench_reports_and_checks_counts(capsys):
 
 def test_verify_smoke(capsys):
     assert run_cli(["verify", "--random-count", "2", "--seed", "1"]) == EXIT_OK
-    assert "0 failure(s)" in capsys.readouterr().out
+    # 31 connected graphs on <= 5 vertices, 2 unweighted and 2 weighted random ones
+    assert capsys.readouterr().out.splitlines()[-1] == "verified 35 graphs x 4 thresholds; 0 failure(s)"
 
 
 def test_verify_fails_an_engine_that_emits_a_solution_twice(monkeypatch):
     # the same solution set, but the first solution comes out twice
-    real = verify.enumerate_edges_fast
+    real = girthscope.enumerate_edges_fast
 
     def duplicating(g, k, sink, **kwargs):
         first = []
@@ -361,9 +382,9 @@ def test_verify_fails_an_engine_that_emits_a_solution_twice(monkeypatch):
 
         return real(g, k, twice, **kwargs)
 
-    monkeypatch.setattr(verify, "enumerate_edges_fast", duplicating)
+    monkeypatch.setattr(girthscope, "enumerate_edges_fast", duplicating)
     failures = run_verification(random_count=0)
-    assert failures and all(name.endswith(" fast") and " edge/" in name for name in failures)
+    assert failures and all(name.endswith(" enumerate_subgraphs") and " edge/" in name for name in failures)
 
 
 def test_verify_rejects_a_negative_count(capsys):
@@ -387,7 +408,7 @@ ERROR_PATHS = [
     pytest.param(["bench", "--complete", "4", "-k", "4"], True, EXIT_DISCREPANCY,
                  "fast solutions differ from brute force", id="discrepancy"),
     pytest.param(["count", "-k", "4"], False, EXIT_USAGE, "usage: girthscope count", id="argparse"),
-    pytest.param(["bench", "-k", "4"], False, EXIT_USAGE, "bench needs exactly one of", id="bench-source"),
+    pytest.param(["bench", "-k", "4"], False, EXIT_USAGE, "usage: girthscope bench", id="bench-source"),
     pytest.param(["enum", "--graph", "@k3", "-k", "4", "--output", "@no/such/out.txt"], False, EXIT_USAGE,
                  "usage error: cannot write", id="unwritable-output"),
     pytest.param(["girth", "--graph", "@bad"], False, EXIT_PARSE, "parse error: ", id="parse"),
@@ -403,7 +424,7 @@ ERROR_PATHS = [
 @pytest.mark.parametrize("argv,fake_engine,code,prefix", ERROR_PATHS)
 def test_each_error_path_exits_with_its_code(argv, fake_engine, code, prefix, tmp_path, monkeypatch, capsys):
     if fake_engine:
-        monkeypatch.setattr("girthscope.bench.enumerate_edges_fast", lambda g, k, sink=None, **kwargs: 0)
+        monkeypatch.setattr("girthscope.enumerate_edges_fast", lambda g, k, sink=None, **kwargs: 0)
     for name, content in ERROR_INPUTS.items():
         (tmp_path / name).write_bytes(content)
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
