@@ -32,8 +32,8 @@ to build a state's children, so a state whose only child is a leaf is a fan
 candidate is inner, or whose one candidate is outer and leads to a fresh
 endpoint with no unmarked edge (an id above first) to another fresh
 vertex; in the non-connected variant every state with one candidate, since
-that variant adds no candidate. advance counts the pick of a fan's child
-when it builds the fan, even if a prune cuts it. On K7 at k=4 this halves
+that variant adds no candidate. A fan's children are picked by no advance
+call, so the pick counters leave them out. On K7 at k=4 this halves
 the table steps, from 59,404 to 28,917, for 123,379 solutions of which
 63,974 are leaves.
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable
 
-from .enum_core import CONNECTIVITIES, SolutionSink, search, validate_fast_input
+from .enum_core import CONNECTIVITIES, SolutionSink, pruned, search, validate_fast_input
 from .errors import ValidationError
 from .graph import Graph, Length
 
@@ -229,8 +229,7 @@ def advance(
       long enough. An edge to a fresh vertex becomes outer iff its id is
       above first.
     A child with one candidate is a fan, with no table, when its own child
-    has no candidate; search emits that child without calling advance, so
-    its pick is counted here.
+    has no candidate; search emits that child without calling advance.
     """
     d = state.dist
     g = state.g
@@ -287,9 +286,6 @@ def advance(
         return None
     if len(cands) > 1 or outer and not _child_is_a_leaf(g, d, u, v, outer[0], first):
         return EdgeEnumState(g, state.k, solution, cands, len(inner), first, update_dist_s(state, e))
-    if stats is not None:  # a fan: the pick of its one child, which search emits unbuilt
-        stats.inner_picks += len(inner)
-        stats.outer_picks += len(outer)
     return EdgeEnumState(g, state.k, solution, cands, len(inner), first, None)
 
 
@@ -306,8 +302,7 @@ def advance_any(
     become inner if the cycle they would close, d[x][u] + 2 + d[v][y], is
     long enough. Every other candidate keeps its class. Below a state with
     one candidate every child is a leaf, since this variant never adds a
-    candidate; such a state is a fan, with no table, and the pick of its
-    one child is counted here.
+    candidate; such a state is a fan, with no table.
     """
     d = state.dist
     k = state.k
@@ -349,9 +344,6 @@ def advance_any(
     if not branch:
         return None
     first = state.first if state.solution else e
-    if len(branch) == 1 and stats is not None:  # a fan: the pick of its one child, which search emits unbuilt
-        stats.inner_picks += n_inner
-        stats.outer_picks += 1 - n_inner
     dist = update_dist_s(state, e) if len(branch) > 1 else None
     return EdgeEnumState(state.g, k, solution, branch, n_inner, first, dist)
 
@@ -375,28 +367,22 @@ def enumerate_edges_fast(
     inner candidates are taken before outer ones. With connectivity="any"
     every subgraph of girth >= k counts, and every state branches in
     ascending id, so the stream equals the baseline engine's.
-    `prune(state, left)` may cut a subtree after its root solution was
-    emitted (used by the extremal search); `left` is the number of
-    candidates the state has not branched on. It must be monotone (see
-    `search`): the children a state has left once it cuts are emitted
-    unbuilt, with no `advance` call. Only the root and the states with a
-    candidate are built; a leaf is emitted without a state, and so is the
-    one child of a fan, a state whose only child is a leaf.
-    `stats.iterations` counts every state emitted, the root included;
-    `inner_picks`, `outer_picks` and `pair_checks` count the children
-    advance is asked for, leaves included, and `inner_picks` and
-    `outer_picks` also the child of each fan, when the fan is built.
+    `prune(state, left)` may cut a subtree but keep its root solution
+    (used by the extremal search); `left` is the number of candidates the
+    state has not branched on. It is applied through `enum_core.pruned` and
+    must be monotone, as `pruned` says: the children a state has left once
+    it cuts are emitted unbuilt, with no `advance` call. Only the root and
+    the states with a candidate are built; a leaf is emitted without a
+    state, and so is the one child of a fan, a state whose only child is a
+    leaf. `stats.iterations` counts the solutions emitted; `inner_picks`,
+    `outer_picks` and `pair_checks` count the children advance is asked
+    for, leaves included.
     Returns the number of solutions emitted.
     """
     validate_fast_input(g, k)
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}")
-    return search(
-        initial_state(g, k),
-        advance_any if connectivity == "any" else advance,
-        sink,
-        include_empty=include_empty,
-        limit=limit,
-        prune=prune,
-        stats=stats,
-    )
+    root, step = initial_state(g, k), advance_any if connectivity == "any" else advance
+    if prune is not None:
+        root, step = pruned(root, step, prune)
+    return search(root, step, sink, include_empty=include_empty, limit=limit, stats=stats)

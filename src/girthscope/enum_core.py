@@ -157,16 +157,6 @@ def candidate_set_naive(g: Graph, state: BaselineState, cfg: EnumConfig) -> set[
     return out
 
 
-def _emit_leaves(emit, stats, parent: frozenset[int], elements) -> bool:
-    """Emit parent | {y} for each y, in order, each as an iteration; False once the run stops."""
-    for y in elements:
-        if stats is not None:
-            stats.iterations += 1
-        if not emit(parent | {y}):
-            return False
-    return True
-
-
 def search(
     root,
     advance: Callable[[object, int, frozenset[int], object], object],
@@ -174,7 +164,6 @@ def search(
     *,
     include_empty: bool = True,
     limit: int | None = None,
-    prune: Callable[[object, int], bool] | None = None,
     stats=None,
 ) -> int:
     """Depth-first binary-partition search from the empty-solution state `root`.
@@ -184,88 +173,103 @@ def search(
     which search forms, and it is built by `advance(state, i, solution,
     stats)` from the elements after i alone: the ones before i are excluded
     from its subtree by their position, so no state is changed once built.
-    `advance` returns None for a child with no candidate; search then
-    emits the child's solution without any state. The empty solution is
-    emitted first when `include_empty` is set; each child's solution is
-    emitted right after `advance` returns. To observe a run, a caller wraps
-    `advance`: the built states are the root it passes and every child
-    `advance` returns.
+    `advance` returns None for a child with no candidate, or one whose
+    subtree it skips; search then emits the child's solution without any
+    state. The empty solution is emitted first when `include_empty` is set;
+    each child's solution is emitted right after `advance` returns. To
+    observe or prune a run, a caller wraps `advance` (see `pruned`): the
+    built states are the root it passes and every child `advance` returns.
 
     A built child whose `dist` is None is a fan: every child it has is a
-    leaf. Once its solution is emitted and the prune keeps it, search emits
-    `child.solution | {y}` for each y in its branch, in order, with no
-    push, `advance` or further `prune` call, so the engine counts their
-    work when it builds the fan. Any other `dist`, the baseline's included,
-    marks a state that is no fan.
+    leaf. Once its solution is emitted, search emits `child.solution | {y}`
+    for each y in its branch, in order, with no push or `advance` call. Any
+    other `dist`, the baseline's included, marks a state that is no fan.
 
-    `prune(state, left)` is asked about a state when it is built, with
-    `left` = len(state.branch); returning True skips its subtree but keeps
-    its solution. It is asked again before each later child i, with `left` =
-    len(state.branch) - i, the candidates the state has left. Once it says
-    True there, the state's remaining children are emitted as
-    `state.solution | {x}`, in order, without an `advance` or `prune`
-    call. This is sound for a monotone prune, one that, when it cuts a
-    state, would also cut every child built from the state's remaining
-    elements; such a child's own subtree would be skipped, so its solution
-    is all it emits.
-
-    `stats`, when given, gets `iterations` (states emitted, built or not,
-    with the root) and `max_depth` (the root has depth 1, and a fan's
-    children lie one level below the fan); the engines' own counters see
-    only the children `advance` is called for and the fans it builds.
-    Returns the number of solutions emitted, partial if `limit` or the sink
-    stopped the run; a negative `limit` raises ValidationError.
+    `stats`, when given, gets `iterations` (the solutions emitted) and
+    `max_depth` (the root has depth 1, and a fan's children lie one level
+    below the fan), both added when the run ends; the engines' own counters
+    see only the children `advance` is called for. Returns the number of
+    solutions emitted, partial if `limit` or the sink stopped the run; a
+    negative `limit` raises ValidationError.
     """
     emitter = _Emitter(sink, limit)
     emit = emitter.emit
-    if stats is not None:
-        stats.iterations += 1
-        stats.max_depth = max(stats.max_depth, 1)
-    if include_empty and not emit(frozenset()):
-        return emitter.count
-    # each frame is (state, iterator over the positions and elements it has still to branch on)
-    stack = []
-    if root.branch and (prune is None or not prune(root, len(root.branch))):
-        stack.append((root, enumerate(root.branch)))
-    # pushed: the top frame has built no child yet, so its prune answer is current
-    pushed = True
-    while stack:
-        state, it = stack[-1]
-        parent = state.solution
-        for i, x in it:
-            if prune is not None:
-                if pushed:
-                    pushed = False
-                elif prune(state, len(state.branch) - i):
-                    # each child left would be cut, so its solution is all it
-                    # emits; a built sibling already reached their depth
-                    stack.pop()
-                    if not _emit_leaves(emit, stats, parent, state.branch[i:]):
-                        return emitter.count
+    deepest = 1
+    try:
+        if include_empty and not emit(frozenset()):
+            return emitter.count
+        # each frame is (state, iterator over the positions and elements it has
+        # still to branch on); a pushed state's first child is always emitted
+        stack = [(root, enumerate(root.branch))] if root.branch else []
+        deepest += len(stack)
+        while stack:
+            state, it = stack[-1]
+            parent = state.solution
+            for i, x in it:
+                solution = parent | {x}
+                child = advance(state, i, solution, stats)
+                if not emit(solution):
+                    return emitter.count
+                if child is None:
+                    continue
+                if child.dist is not None:
+                    stack.append((child, enumerate(child.branch)))
+                    if len(stack) >= deepest:
+                        deepest = len(stack) + 1
                     break
-            solution = parent | {x}
-            child = advance(state, i, solution, stats)
-            if stats is not None:
-                stats.iterations += 1
-                depth = len(stack) + 1
-                if depth > stats.max_depth:
-                    stats.max_depth = depth
-            if not emit(solution):
-                return emitter.count
-            if child is None or prune is not None and prune(child, len(child.branch)):
-                continue
-            if child.dist is not None:
-                stack.append((child, enumerate(child.branch)))
-                pushed = True
-                break
-            # a fan: its children are leaves, one level below it
-            if stats is not None and len(stack) + 2 > stats.max_depth:
-                stats.max_depth = len(stack) + 2
-            if not _emit_leaves(emit, stats, solution, child.branch):
-                return emitter.count
-        else:
-            stack.pop()
-    return emitter.count
+                # a fan: its children are leaves, one level below it
+                if len(stack) + 2 > deepest:
+                    deepest = len(stack) + 2
+                for y in child.branch:
+                    if not emit(solution | {y}):
+                        return emitter.count
+            else:
+                stack.pop()
+        return emitter.count
+    finally:
+        if stats is not None:
+            stats.iterations += emitter.count
+            stats.max_depth = max(stats.max_depth, deepest)
+
+
+def pruned(root, advance, prune: Callable[[object, int], bool]):
+    """(root, advance) for `search` that skip the subtrees `prune(state, left)` cuts.
+
+    `prune` is asked about the root before the search starts and about each
+    child `advance` builds, with `left` = len(state.branch); returning True
+    skips the state's subtree but keeps its solution. A cut root gets an
+    empty `branch`, and a cut child is returned as None. Before each later
+    child i of a state it is asked again, with `left` = len(state.branch) -
+    i, the candidates the state has left; once it says True there, that
+    child and every later sibling are returned as None, with no `advance`
+    or further `prune` call. This is sound for a monotone prune, one that,
+    when it cuts a state, would also cut every child built from the state's
+    remaining elements; such a child's own subtree would be skipped, so its
+    solution is all it emits. A fan's children (see `search`) are never
+    asked about.
+
+    A child is asked before its solution is emitted, so a prune must not
+    depend on that solution having been seen; the extremal prunes compare a
+    bound of at least |S| with the best size, which emitting S cannot
+    raise above that bound.
+    """
+    if root.branch and prune(root, len(root.branch)):
+        root.branch = []
+    cut = None  # the last state cut on its remaining children
+
+    def advance_pruned(state, i: int, solution: frozenset[int], stats):
+        nonlocal cut
+        if state is cut:
+            return None
+        if i and prune(state, len(state.branch) - i):
+            cut = state
+            return None
+        child = advance(state, i, solution, stats)
+        if child is not None and prune(child, len(child.branch)):
+            return None
+        return child
+
+    return root, advance_pruned
 
 
 def enumerate_baseline(
@@ -282,13 +286,12 @@ def enumerate_baseline(
     duplicates. The empty solution is emitted first when configured. Returns
     the number of solutions emitted (partial if the sink stopped the run).
 
-    `prune(state, left)` is consulted with a state that has candidates (its
-    solution and sorted `branch`) before its subtree is expanded, `left`
-    being the candidates it has not branched on; returning True skips the
-    subtree but keeps its root solution. It is asked again before each
-    later child and must be monotone, as `search` says: once it cuts, the
-    remaining children are emitted without being built. The baseline keeps
-    no stats; the return value counts every emitted solution.
+    `prune(state, left)`, when given, is applied through `pruned`: it is
+    asked about a state with candidates (its solution and sorted `branch`)
+    before its subtree is expanded, `left` being the candidates it has not
+    branched on, and returning True skips the subtree but keeps its root
+    solution. It must be monotone, as `pruned` says. The baseline keeps no
+    stats; the return value counts every emitted solution.
     """
     cfg.validate()
 
@@ -301,14 +304,10 @@ def enumerate_baseline(
         child = build(solution, state.excluded.union(state.branch[:i]))
         return child if child.branch else None
 
-    return search(
-        build(frozenset(), set()),
-        advance,
-        sink,
-        include_empty=cfg.include_empty,
-        limit=cfg.limit,
-        prune=prune,
-    )
+    root = build(frozenset(), set())
+    if prune is not None:
+        root, advance = pruned(root, advance, prune)
+    return search(root, advance, sink, include_empty=cfg.include_empty, limit=cfg.limit)
 
 
 def brute_force_total(n: int, m: int, mode: str, max_exponent: int) -> int:

@@ -89,7 +89,7 @@ def densest_girth_graphs(
             # w < b, and the unmarked fresh pairs are those among the fresh
             # vertices above a = min V(S). A table's key set is V(S); a state
             # without one counts V(S) from its solution.
-            # Monotone, as search's shortcut needs: the child on a remaining
+            # Monotone, as pruned's shortcut needs: the child on a remaining
             # candidate e moves e from the candidates into the solution; its
             # other candidates are the parent's remaining ones or edges from
             # e's new endpoint to fresh vertices, and each of those leaves the

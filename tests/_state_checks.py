@@ -16,7 +16,7 @@ import copy
 from collections import deque
 
 from girthscope import INFINITE, girth_unweighted, induced_subgraph
-from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive, search
+from girthscope.enum_core import BaselineState, EnumConfig, candidate_set_naive, pruned, search
 from girthscope.induced_fast import InducedEnumState, _second_distance_via_row, _split_old_candidates
 from _oracles import pair_distance, second_distance
 
@@ -37,8 +37,9 @@ def observe(engine, g, k, look, sink=None, *, connectivity="connected", **option
     leaf, for which `advance` returns None, is not shown. `marks` are the
     done marks the state inherited: none at the root, and for the child on
     its parent's branch[i] the parent's marks plus branch[:i]. `options`
-    (include_empty, limit, prune, stats) go to `search`, whose count is
-    returned.
+    (include_empty, limit, stats) go to `search`, whose count is returned;
+    a `prune` option is applied through `pruned`, around the observed
+    transition.
     """
     step = engine.advance_any if connectivity == "any" else engine.advance
     root = engine.initial_state(g, k)
@@ -56,6 +57,9 @@ def observe(engine, g, k, look, sink=None, *, connectivity="connected", **option
         return child
 
     look(root, frozenset())
+    prune = options.pop("prune", None)
+    if prune is not None:
+        root, advance = pruned(root, advance, prune)
     return search(root, advance, sink, **options)
 
 

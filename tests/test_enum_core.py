@@ -25,7 +25,7 @@ from girthscope import (
     petersen_graph,
 )
 from girthscope import edges_fast, induced_fast
-from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive, search
+from girthscope.enum_core import BaselineState, _solution_ok, candidate_set_naive, pruned, search
 from girthscope.verify import random_corpus
 from _oracles import independent_solutions
 from _state_checks import observe
@@ -298,6 +298,19 @@ def test_observer_shows_the_root_then_each_built_child(name):
     assert (len(shown), len(stream), zlib.crc32(repr((shown, stream)).encode())) == expected
 
 
+@pytest.mark.parametrize("include_empty", [True, False])
+def test_a_prune_that_cuts_the_root_emits_the_empty_solution_alone(include_empty):
+    g = complete_graph(4)
+    every = lambda state, left: True
+    expected = int(include_empty)
+    for connectivity in ("connected", "any"):
+        got = enumerate_edges_fast(g, 4, connectivity=connectivity, include_empty=include_empty, prune=every)
+        assert got == expected, connectivity
+    for mode in ("induced", "edge"):
+        cfg = EnumConfig(k=4, mode=mode, include_empty=include_empty)
+        assert enumerate_baseline(g, cfg, prune=every) == expected, mode
+
+
 # --- fans: states whose children are all leaves ------------------------------
 
 def toy_candidates(solution):
@@ -337,10 +350,11 @@ def toy_run(fans, *, limit=None, sink=None, prune=None):
         asked.setdefault(st.solution, []).append(left)
         return prune(st, left)
 
+    root = state(frozenset())
+    if prune is not None:
+        root, advance = pruned(root, advance, asking)
     stats = SimpleNamespace(iterations=0, max_depth=0)
-    count = search(
-        state(frozenset()), advance, record, limit=limit, prune=None if prune is None else asking, stats=stats
-    )
+    count = search(root, advance, record, limit=limit, stats=stats)
     return count, stream, stats.iterations, stats.max_depth, built, asked
 
 

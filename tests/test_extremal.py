@@ -300,8 +300,7 @@ def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, 
     # children are emitted, not built: at most 0.7 of the emitted states are
     # built, where building every child would give explored - 1. iterations
     # still counts every emitted state, the picks only the children advance
-    # is asked for and the one child of each fan, counted when the fan is
-    # built, whether or not the prune then cuts it.
+    # is asked for, so never a fan's child.
     built = fans = 0
     stats = EdgeRunStats()
     engine = extremal.enumerate_edges_fast
@@ -326,7 +325,36 @@ def test_cut_states_emit_their_remaining_children_unbuilt(n, k, connected_only, 
     assert built <= 0.7 * r.explored
     assert stats.iterations == r.explored
     assert fans > 0
-    assert stats.inner_picks + stats.outer_picks == built + fans
+    assert stats.inner_picks + stats.outer_picks == built
+
+
+# (n, k, connected_only): (prune calls, prune cuts), counted by wrapping the prune
+PRUNE_ASKS = {
+    (7, 5, True): (30372, 11322),
+    (6, 4, False): (753, 360),
+}
+
+
+@pytest.mark.parametrize("n,k,connected_only", sorted(PRUNE_ASKS))
+def test_the_prune_is_asked_a_fixed_number_of_times(n, k, connected_only, monkeypatch):
+    # the stream alone does not see a repeated, a missing or an extra ask
+    # (the root's, one before a state's first child, one after a cut)
+    engine = extremal.enumerate_edges_fast
+    calls = cuts = 0
+
+    def counting_engine(g, threshold, sink=None, *, prune, **kwargs):
+        def counted(state, left):
+            nonlocal calls, cuts
+            calls += 1
+            verdict = prune(state, left)
+            cuts += verdict
+            return verdict
+
+        return engine(g, threshold, sink, prune=counted, **kwargs)
+
+    monkeypatch.setattr(extremal, "enumerate_edges_fast", counting_engine)
+    densest_girth_graphs(n, k, connected_only=connected_only)
+    assert (calls, cuts) == PRUNE_ASKS[n, k, connected_only]
 
 
 def prune_bound(solution, first, left, n, edges, connected):
